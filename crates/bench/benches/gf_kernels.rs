@@ -1,5 +1,6 @@
 //! Criterion benches for the GF(2^8) slice kernels — the inner loop every
-//! helper runs when combining partial slices during a repair.
+//! helper runs when combining partial slices during a repair — and for the
+//! CRC-32 a checksummed store runs beside them on every chunk it reads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gf256::Gf256;
@@ -18,6 +19,15 @@ fn bench_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("mul_slice", size), &size, |b, _| {
             b.iter(|| gf256::mul_slice(Gf256::new(0x57), &src, &mut dst));
+        });
+    }
+    // One HDFS-sized checksum chunk (what a slice read verifies per chunk)
+    // and one whole 32 KiB slice.
+    for size in [512usize, 32 * 1024] {
+        let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::new("crc32", size), &size, |b, _| {
+            b.iter(|| gf256::crc32(&data));
         });
     }
     group.finish();

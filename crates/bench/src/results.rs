@@ -25,7 +25,7 @@
 //!   "benchmarks": [
 //!     {"name": "gf_kernels/mul_slice/32768", "ns_per_iter": 1234.5,
 //!      "bytes_per_sec": 26543210.9},
-//!     {"name": "load_harness/get", "ns_per_iter": 81000.0,
+//!     {"name": "load_harness/reactor/get", "ns_per_iter": 81000.0,
 //!      "elements_per_sec": 1950.0, "p50_ns": 64000.0, "p99_ns": 410000.0,
 //!      "p999_ns": 1900000.0}
 //!   ]
@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn parses_extended_percentile_records() {
-        let log = "load_harness/get\t81000.0\t-\t1950.0\t64000\t410000\t1900000\n\
+        let log = "load_harness/reactor/get\t81000.0\t-\t1950.0\t64000\t410000\t1900000\n\
                    gf/mul\t100.0\t1024.0\t-\n";
         let records = parse_log(log).unwrap();
         let harness = records.iter().find(|r| r.name.starts_with("load")).unwrap();
@@ -508,6 +508,33 @@ mod tests {
         let twice = "a/one\t100.0\t-\t-\na/one\t120.0\t-\t-\n";
         let err = parse_log(twice).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
+    }
+
+    #[test]
+    fn merges_load_harness_records_from_two_transports() {
+        // A channel run and a reactor run appending to one log: the
+        // transport in each name keeps the records apart.
+        let channel = "load_harness/channel/get\t81000.0\t-\t1950.0\t64000\t410000\t1900000\n\
+                       load_harness/channel/overall\t90000.0\t-\t2000.0\t70000\t500000\t2000000\n";
+        let reactor = "load_harness/reactor/get\t61000.0\t-\t1990.0\t52000\t300000\t1500000\n\
+                       load_harness/reactor/overall\t65000.0\t-\t2000.0\t55000\t350000\t1600000\n";
+        let records = parse_log(&format!("{channel}{reactor}")).unwrap();
+        let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "load_harness/channel/get",
+                "load_harness/channel/overall",
+                "load_harness/reactor/get",
+                "load_harness/reactor/overall",
+            ]
+        );
+        let reactor_get = &records[2];
+        assert_eq!(reactor_get.p50_ns, Some(52000.0));
+        assert_eq!(reactor_get.p999_ns, Some(1500000.0));
+        // The merged results gate cleanly against themselves.
+        let merged = parse_results_json(&render_json(&records)).unwrap();
+        assert!(compare(&merged, &records, Tolerances::default()).passed());
     }
 
     #[test]
@@ -548,7 +575,7 @@ mod tests {
         let records = parse_log(
             "g/mul/32768\t1500.5\t42666666.667\t-\n\
              exec/repair\t900000.0\t-\t12.5\n\
-             load_harness/overall\t81000.0\t-\t1950.0\t64000\t410000\t1900000\n\
+             load_harness/channel/overall\t81000.0\t-\t1950.0\t64000\t410000\t1900000\n\
              weird\"name\t10.0\t-\t-\n",
         )
         .unwrap();

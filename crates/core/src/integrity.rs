@@ -7,7 +7,9 @@
 //! not whole-node death — drives much of real-world repair traffic. This
 //! module supplies that layer:
 //!
-//! * [`crc32`] — the CRC-32 (IEEE) checksum used throughout;
+//! * [`crc32`] — the CRC-32 (IEEE) checksum used throughout, re-exported
+//!   from `gf256`, which dispatches it to PCLMUL folding or slicing-by-16
+//!   alongside the GF kernels;
 //! * [`BlockChecksums`] — one checksum per fixed-size chunk of a block
 //!   (default [`DEFAULT_CHUNK_SIZE`] bytes, mirroring HDFS's
 //!   `io.bytes.per.checksum`), so a slice-granular [`get_range`] read can be
@@ -47,6 +49,8 @@ use ecc::stripe::BlockId;
 use crate::store::BlockStore;
 use crate::{EcPipeError, Result};
 
+pub use gf256::crc32;
+
 /// Default checksum chunk size in bytes: one CRC-32 per 512-byte chunk,
 /// matching HDFS's `io.bytes.per.checksum` default (~0.8% metadata
 /// overhead).
@@ -54,37 +58,6 @@ pub const DEFAULT_CHUNK_SIZE: usize = 512;
 
 /// Magic + version prefix of a `.crc` sidecar file.
 const SIDECAR_MAGIC: &[u8; 4] = b"ECC\x01";
-
-const CRC_TABLE: [u32; 256] = crc32_table();
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 (IEEE 802.3 polynomial, the `cksum`/zlib variant) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// The integrity metadata of one block: its length and one CRC-32 per
 /// fixed-size chunk (the last chunk may be shorter).

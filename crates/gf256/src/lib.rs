@@ -11,6 +11,9 @@
 //!   repair (`a_i * B_i` accumulated into a partial sum).
 //! * [`Matrix`] — a dense matrix over GF(2^8) with Gauss-Jordan inversion,
 //!   used to derive encoding matrices and single-block repair coefficients.
+//! * [`crc32`] / [`crc32_update`] — the CRC-32 (IEEE) the block stores'
+//!   checksums and the metadata WAL share, dispatched alongside the slice
+//!   kernels.
 //!
 //! The slice kernels are runtime-dispatched: on hosts with SSSE3/AVX2
 //! (x86/x86_64) or NEON (aarch64) they run vectorized split-table loops,
@@ -33,12 +36,14 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod crc;
 mod field;
 mod kernels;
 mod matrix;
 pub mod simd;
 mod tables;
 
+pub use crc::{crc32, crc32_update};
 pub use field::Gf256;
 pub use kernels::{add_slice, mul_add_slice, mul_slice, scale_slice_in_place};
 pub use matrix::Matrix;

@@ -8,14 +8,16 @@
 //! shuffle (`pshufb` on x86, `vtbl` on aarch64) computes 16–32 products per
 //! instruction.
 //!
-//! The kernel path is selected once per process, on first use:
+//! The same vtable carries the CRC-32 shared by the integrity layers
+//! ([`crate::crc32`]). The kernel path is selected once per process, on
+//! first use:
 //!
-//! | ISA      | path                         | selected when                |
-//! |----------|------------------------------|------------------------------|
-//! | x86/-64  | [`KernelPath::Avx2`]         | `avx2` detected at runtime   |
-//! | x86/-64  | [`KernelPath::Ssse3`]        | `ssse3` detected, no AVX2    |
-//! | aarch64  | [`KernelPath::Neon`]         | always (NEON is baseline)    |
-//! | any      | [`KernelPath::Scalar`]       | fallback and proptest oracle |
+//! | ISA      | path                   | selected when                | CRC-32                     |
+//! |----------|------------------------|------------------------------|----------------------------|
+//! | x86/-64  | [`KernelPath::Avx2`]   | `avx2` detected at runtime   | PCLMUL fold if `pclmulqdq` |
+//! | x86/-64  | [`KernelPath::Ssse3`]  | `ssse3` detected, no AVX2    | PCLMUL fold if `pclmulqdq` |
+//! | aarch64  | [`KernelPath::Neon`]   | always (NEON is baseline)    | slicing-by-16              |
+//! | any      | [`KernelPath::Scalar`] | fallback and proptest oracle | slicing-by-16              |
 //!
 //! Set `ECPIPE_GF_FORCE=scalar|ssse3|avx2|neon` to pin a specific path —
 //! forcing a path the host cannot run (or an unknown name) panics on first
@@ -112,12 +114,12 @@ impl std::fmt::Display for KernelPath {
     }
 }
 
-/// One implementation of the four slice kernels.
+/// One implementation of the four slice kernels and the CRC-32.
 ///
-/// The bulk entry points ([`crate::mul_slice`] and friends) delegate to
-/// [`Kernels::active`]; tests address a specific path through
-/// [`Kernels::for_path`] regardless of what the process-wide selection
-/// picked.
+/// The bulk entry points ([`crate::mul_slice`] and friends,
+/// [`crate::crc32`]) delegate to [`Kernels::active`]; tests address a
+/// specific path through [`Kernels::for_path`] regardless of what the
+/// process-wide selection picked.
 pub struct Kernels {
     path: KernelPath,
     // The raw per-path loops. Coefficient fast paths (0 and 1) and length
@@ -126,6 +128,8 @@ pub struct Kernels {
     mul: fn(u8, &[u8], &mut [u8]),
     mul_add: fn(u8, &[u8], &mut [u8]),
     add: fn(&[u8], &mut [u8]),
+    // CRC-32 over the raw register; `crc32_update` applies the inversions.
+    crc: fn(u32, &[u8]) -> u32,
 }
 
 static SCALAR: Kernels = Kernels {
@@ -133,6 +137,7 @@ static SCALAR: Kernels = Kernels {
     mul: scalar::mul,
     mul_add: scalar::mul_add,
     add: scalar::add,
+    crc: crate::crc::slicing16,
 };
 
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
@@ -253,6 +258,12 @@ impl Kernels {
             "add_slice: src and dst must have equal length"
         );
         (self.add)(src, dst);
+    }
+
+    /// Extends `crc`, the CRC-32 of some prefix (0 for the empty prefix),
+    /// over `data`; see [`crate::crc32_update`].
+    pub fn crc32_update(&self, crc: u32, data: &[u8]) -> u32 {
+        !(self.crc)(!crc, data)
     }
 
     /// `data[j] = coeff * data[j]` in place.

@@ -20,6 +20,8 @@ pub(super) static NEON: Kernels = Kernels {
     mul: mul_neon,
     mul_add: mul_add_neon,
     add: add_neon,
+    // The ARMv8 CRC32 instructions are not wired in yet; slicing-by-16.
+    crc: crate::crc::slicing16,
 };
 
 fn mul_neon(coeff: u8, src: &[u8], dst: &mut [u8]) {

@@ -12,9 +12,18 @@
 //!
 //! The safe wrappers split the input at the last full vector and hand the
 //! remainder to the scalar loops, so the vector bodies only ever see
-//! whole-lane lengths. This module is the designated home for `unsafe` in
-//! this crate (with `simd/neon.rs`); the workspace lint enforces that and
-//! the `// SAFETY:` comments below.
+//! whole-lane lengths.
+//!
+//! Both paths share one CRC-32: a four-lane `PCLMULQDQ` fold with a Barrett
+//! reduction (Intel, "Fast CRC Computation for Generic Polynomials Using
+//! PCLMULQDQ Instruction", 2009, with the constants of the reflected IEEE
+//! polynomial), used when the CPU reports `pclmulqdq` and falling back to
+//! slicing-by-16 otherwise, below 64 bytes and for the last partial 16
+//! bytes.
+//!
+//! This module is the designated home for `unsafe` in this crate (with
+//! `simd/neon.rs`); the workspace lint enforces that and the `// SAFETY:`
+//! comments below.
 
 #![allow(unsafe_code)]
 
@@ -24,6 +33,7 @@ use core::arch::x86::*;
 use core::arch::x86_64::*;
 
 use super::{scalar, KernelPath, Kernels};
+use crate::crc::slicing16;
 use crate::tables::{MUL_HI, MUL_LO};
 
 pub(super) static SSSE3: Kernels = Kernels {
@@ -31,6 +41,7 @@ pub(super) static SSSE3: Kernels = Kernels {
     mul: mul_ssse3,
     mul_add: mul_add_ssse3,
     add: add_ssse3,
+    crc: crc_pclmul,
 };
 
 pub(super) static AVX2: Kernels = Kernels {
@@ -38,6 +49,7 @@ pub(super) static AVX2: Kernels = Kernels {
     mul: mul_avx2,
     mul_add: mul_add_avx2,
     add: add_avx2,
+    crc: crc_pclmul,
 };
 
 // ---------------------------------------------------------------- SSSE3 --
@@ -235,4 +247,110 @@ unsafe fn add_avx2_body(src: &[u8], dst: &mut [u8]) {
         _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_xor_si256(d, s));
         i += 32;
     }
+}
+
+// ------------------------------------------------------------ PCLMULQDQ --
+
+/// Fold constants for the reflected IEEE polynomial: `K1`/`K2` fold a lane
+/// across 512 bits (four lanes), `K3`/`K4` across 128 bits, `K5` folds 64
+/// bits down to 32; `P` is the polynomial and `MU` its Barrett constant
+/// `floor(x^64 / P)`, both bit-reflected with the implicit top bit.
+const K1: i64 = 0x1_5444_2bd4;
+const K2: i64 = 0x1_c6e4_1596;
+const K3: i64 = 0x1_7519_97d0;
+const K4: i64 = 0x0_ccaa_009e;
+const K5: i64 = 0x1_63cd_6124;
+const P: i64 = 0x1_db71_0641;
+const MU: i64 = 0x1_f701_1641;
+
+/// Inputs shorter than the four-lane fold's first load go through
+/// slicing-by-16.
+const FOLD_MIN: usize = 64;
+
+fn crc_pclmul(crc: u32, data: &[u8]) -> u32 {
+    if data.len() < FOLD_MIN || !std::arch::is_x86_feature_detected!("pclmulqdq") {
+        return slicing16(crc, data);
+    }
+    let split = data.len() - data.len() % 16;
+    // SAFETY: `pclmulqdq` was detected just above, and SSE2 comes with the
+    // SSSE3 or AVX2 support that made this path reachable (see
+    // `Kernels::for_path`); `split` is a multiple of 16 and at least 64.
+    let crc = unsafe { crc_fold_body(crc, &data[..split]) };
+    slicing16(crc, &data[split..])
+}
+
+/// Folds `data` into the raw CRC register `crc`.
+///
+/// # Safety
+///
+/// `data.len()` must be a multiple of 16 and at least 64, and the CPU must
+/// support PCLMULQDQ and SSE2.
+// SAFETY: every load is an unaligned 16-byte `loadu` at an offset `i` with
+// `i + 16 <= len` (the loops step by whole lanes over a `len % 16 == 0`
+// buffer), so all accesses stay in bounds.
+#[target_feature(enable = "pclmulqdq,sse2")]
+unsafe fn crc_fold_body(crc: u32, data: &[u8]) -> u32 {
+    debug_assert!(data.len() >= FOLD_MIN);
+    debug_assert_eq!(data.len() % 16, 0);
+    let load = |i: usize| _mm_loadu_si128(data.as_ptr().add(i).cast());
+    let mask32 = _mm_set_epi32(0, 0, 0, !0);
+
+    // Four independent lanes hide the multiplier's latency; the register
+    // enters by XOR into the first lane's low 32 bits.
+    let mut x0 = _mm_xor_si128(load(0), _mm_cvtsi32_si128(crc as i32));
+    let mut x1 = load(16);
+    let mut x2 = load(32);
+    let mut x3 = load(48);
+    let k1k2 = _mm_set_epi64x(K2, K1);
+    let mut i = 64;
+    while i + 64 <= data.len() {
+        x0 = fold_lane(x0, load(i), k1k2);
+        x1 = fold_lane(x1, load(i + 16), k1k2);
+        x2 = fold_lane(x2, load(i + 32), k1k2);
+        x3 = fold_lane(x3, load(i + 48), k1k2);
+        i += 64;
+    }
+
+    // Fold the four lanes into one, then any remaining whole lanes.
+    let k3k4 = _mm_set_epi64x(K4, K3);
+    let mut x = fold_lane(x0, x1, k3k4);
+    x = fold_lane(x, x2, k3k4);
+    x = fold_lane(x, x3, k3k4);
+    while i < data.len() {
+        x = fold_lane(x, load(i), k3k4);
+        i += 16;
+    }
+
+    // 128 -> 64 bits, then 64 -> 32 bits.
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x10>(x, k3k4),
+        _mm_srli_si128::<8>(x),
+    );
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, mask32), _mm_set_epi64x(0, K5)),
+        _mm_srli_si128::<4>(x),
+    );
+
+    // Barrett reduction to the 32-bit remainder; the reflected variant
+    // leaves it in bits 32..64.
+    let pmu = _mm_set_epi64x(MU, P);
+    let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, mask32), pmu);
+    let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, mask32), pmu);
+    _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, t2))) as u32
+}
+
+/// `next ^ (acc.lo * keys.lo) ^ (acc.hi * keys.hi)`: carries the folded
+/// lane `acc` forward by the distance `keys` encodes and adds `next`.
+///
+/// # Safety
+///
+/// The CPU must support PCLMULQDQ and SSE2.
+// SAFETY: register-only arithmetic, no memory access.
+#[inline]
+#[target_feature(enable = "pclmulqdq,sse2")]
+unsafe fn fold_lane(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+    _mm_xor_si128(
+        _mm_xor_si128(next, _mm_clmulepi64_si128::<0x00>(acc, keys)),
+        _mm_clmulepi64_si128::<0x11>(acc, keys),
+    )
 }

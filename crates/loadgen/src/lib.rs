@@ -24,7 +24,7 @@ pub mod zipf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use ecpipe::{EcPipe, EcPipeError, Result};
+use ecpipe::{AnyTransport, EcPipe, EcPipeError, Result};
 use rand::{Rng, SeedableRng, StdRng};
 
 use crate::hist::LatencyHistogram;
@@ -204,6 +204,8 @@ impl ClassStats {
 /// The harness's output: whole-run and per-class tail-latency stats.
 #[derive(Debug, Clone)]
 pub struct HarnessReport {
+    /// The transport the runtime ran over (`channel`, `tcp` or `reactor`).
+    pub transport: &'static str,
     /// Wall-clock time from first scheduled op to last completion.
     pub wall: Duration,
     /// The configured arrival rate.
@@ -224,8 +226,9 @@ impl HarnessReport {
     /// Human-readable summary table.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "open-loop harness: offered {:.0}/s, achieved {:.0}/s over {:.2}s, \
+            "open-loop harness over {}: offered {:.0}/s, achieved {:.0}/s over {:.2}s, \
              peak {} in flight\n",
+            self.transport,
             self.offered_rate,
             self.achieved_rate,
             self.wall.as_secs_f64(),
@@ -255,7 +258,8 @@ impl HarnessReport {
 
     /// The report as `BENCH_RESULTS_LOG` records (the criterion shim's TSV
     /// format extended with p50/p99/p999 columns): one line per class that
-    /// saw traffic, plus `load_harness/overall`. `ns_per_iter` is the mean
+    /// saw traffic, plus `load_harness/<transport>/overall`, so runs over
+    /// different transports can share one log. `ns_per_iter` is the mean
     /// latency; `elements_per_sec` the achieved completion rate.
     pub fn bench_lines(&self) -> String {
         let mut out = String::new();
@@ -264,8 +268,8 @@ impl HarnessReport {
                 return;
             }
             out.push_str(&format!(
-                "load_harness/{name}\t{:.3}\t-\t{:.3}\t{}\t{}\t{}\n",
-                stats.mean_ns, rate, stats.p50_ns, stats.p99_ns, stats.p999_ns
+                "load_harness/{}/{name}\t{:.3}\t-\t{:.3}\t{}\t{}\t{}\n",
+                self.transport, stats.mean_ns, rate, stats.p50_ns, stats.p99_ns, stats.p999_ns
             ));
         };
         let wall = self.wall.as_secs_f64().max(f64::EPSILON);
@@ -451,7 +455,13 @@ pub fn run(pipe: &EcPipe, config: &HarnessConfig) -> Result<HarnessReport> {
         overall.merge(h);
     }
     let done = completed.load(Ordering::Relaxed);
+    let transport = match pipe.transport() {
+        AnyTransport::Channel(_) => "channel",
+        AnyTransport::Tcp(_) => "tcp",
+        AnyTransport::Reactor(_) => "reactor",
+    };
     Ok(HarnessReport {
+        transport,
         wall,
         offered_rate: config.rate,
         achieved_rate: done as f64 / wall.as_secs_f64().max(f64::EPSILON),
@@ -530,7 +540,7 @@ mod tests {
         let pipe = quick_pipe();
         let report = run(&pipe, &quick_config()).expect("harness run");
         let lines = report.bench_lines();
-        assert!(lines.contains("load_harness/overall\t"), "{lines}");
+        assert!(lines.contains("load_harness/channel/overall\t"), "{lines}");
         for line in lines.lines() {
             let fields: Vec<&str> = line.split('\t').collect();
             assert_eq!(fields.len(), 7, "{line}");

@@ -11,10 +11,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecc::stripe::StripeId;
+use gf256::crc32;
 use simnet::NodeId;
 
 use crate::shard::Shard;
-use crate::wal::{crc32, Record};
+use crate::wal::Record;
 use crate::{MetaBackend, MetaConfig, MetaError, ObjectRecord, RepairRecord, Result, StripeRecord};
 
 /// Magic + version header of `manifest.bin`.

@@ -25,46 +25,13 @@
 //! the WAL truncation — converges to the same state.
 
 use ecc::stripe::StripeId;
+use gf256::crc32;
 use simnet::NodeId;
 
 use crate::{ObjectRecord, RepairRecord, StripeRecord};
 
 /// Bytes of framing overhead per record (length prefix + CRC).
 pub const FRAME_HEADER: usize = 8;
-
-// CRC-32 (IEEE, reflected 0xEDB88320) over a const table — the same
-// polynomial and table construction as `ecpipe`'s integrity sidecars, so
-// the two planes share one checksum dialect.
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 of a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// One metadata mutation (or, in a snapshot, one fact of the full state).
 #[derive(Debug, Clone, PartialEq, Eq)]
