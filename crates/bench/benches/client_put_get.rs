@@ -1,6 +1,7 @@
 //! Criterion bench for the end-to-end client data path: `EcPipe::put` and
-//! `EcPipe::get` through the builder-configured façade, on both transport
-//! backends.
+//! `EcPipe::get` through the builder-configured façade, on every transport
+//! backend (in-process channels, thread-per-connection TCP, and the epoll
+//! reactor).
 //!
 //! This is the first bench whose `bytes_per_sec` column reports *client*
 //! throughput (object bytes in or out of the store) rather than repair
@@ -70,6 +71,7 @@ fn bench_client(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(OBJECT as u64));
     bench_backend(&mut group, "channel", TransportChoice::Channel);
     bench_backend(&mut group, "tcp", TransportChoice::Tcp);
+    bench_backend(&mut group, "reactor", TransportChoice::Reactor);
     group.finish();
 }
 

@@ -1,6 +1,6 @@
 //! Criterion bench for full-node recovery through the ECPipe runtime:
 //! sequential `full_node_recovery_over` versus the repair manager's
-//! 4-worker pool, on rate-limited links of both transport backends.
+//! 4-worker pool, on rate-limited links of every transport backend.
 //!
 //! Every link is token-bucket throttled so the repairs are network-bound
 //! (the paper's testbed setting); the manager's concurrency then shows up
@@ -14,7 +14,7 @@ use ecc::slice::SliceLayout;
 use ecc::ReedSolomon;
 use ecpipe::manager::{recover_node, ManagerConfig};
 use ecpipe::recovery::full_node_recovery_over;
-use ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
+use ecpipe::transport::{ChannelTransport, ReactorTransport, TcpTransport, Transport};
 use ecpipe::{Cluster, Coordinator, ExecStrategy, StoreBackend};
 
 const BLOCK: usize = 64 * 1024;
@@ -97,6 +97,9 @@ fn bench_recovery(c: &mut Criterion) {
     });
     bench_backend(&mut group, "tcp", || {
         TcpTransport::with_rate_limit(LINK_RATE)
+    });
+    bench_backend(&mut group, "reactor", || {
+        ReactorTransport::with_rate_limit(LINK_RATE)
     });
     group.finish();
 }

@@ -4,10 +4,11 @@
 //! helper; at the paper's slice sizes (tens of KiB) and pipeline depths
 //! that is thousands of short-lived allocations per repaired block. A
 //! [`BufPool`] recycles them: [`BufPool::take`] hands out a zeroed
-//! [`PooledBuf`] to accumulate into, [`PooledBuf::freeze`] turns it into an
-//! immutable [`Bytes`] view that flows through transport framing and store
-//! writes without copying, and when the last view drops, the underlying
-//! allocation returns to the pool for the next slice.
+//! [`PooledBuf`] to accumulate into ([`BufPool::take_for_overwrite`] skips
+//! the zeroing when every byte is written first), [`PooledBuf::freeze`]
+//! turns it into an immutable [`Bytes`] view that flows through transport
+//! framing and store writes without copying, and when the last view drops,
+//! the underlying allocation returns to the pool for the next slice.
 //!
 //! The pool is deliberately simple — a bounded free-list, not a slab with
 //! size classes — because repair traffic is monoculture: within one repair
@@ -85,6 +86,27 @@ impl BufPool {
             }
             None => vec![0u8; len],
         };
+        self.wrap(data)
+    }
+
+    /// Takes a buffer of exactly `len` bytes whose contents are unspecified
+    /// — stale bytes of an earlier slice, or zeros — for a caller that
+    /// overwrites every byte before reading any (a GF product, a socket
+    /// read). A recycled allocation skips the zero-fill [`take`](Self::take)
+    /// pays; only growth past its previous length is zeroed.
+    pub fn take_for_overwrite(&self, len: usize) -> PooledBuf {
+        let recycled = self.inner.free.lock().pop();
+        let data = match recycled {
+            Some(mut vec) => {
+                vec.resize(len, 0);
+                vec
+            }
+            None => vec![0u8; len],
+        };
+        self.wrap(data)
+    }
+
+    fn wrap(&self, data: Vec<u8>) -> PooledBuf {
         PooledBuf {
             data,
             pool: Arc::clone(&self.inner),
@@ -207,6 +229,33 @@ mod tests {
         let grown = pool.take(64);
         assert_eq!(grown.len(), 64);
         assert!(grown.iter().all(|&b| b == 0), "no stale bytes survive");
+    }
+
+    #[test]
+    fn take_for_overwrite_reuses_the_allocation_without_zeroing() {
+        let pool = BufPool::new();
+        let mut buf = pool.take(4096);
+        buf.fill(0xAA);
+        let ptr = buf.as_ptr() as usize;
+        drop(buf);
+
+        let again = pool.take_for_overwrite(4096);
+        assert_eq!(again.as_ptr() as usize, ptr, "same allocation");
+        assert_eq!(again.len(), 4096);
+        assert!(again.iter().all(|&b| b == 0xAA), "contents were not zeroed");
+        assert_eq!(pool.retained(), 0);
+        drop(again);
+
+        // Shrinking keeps the allocation; growing zeroes only the new tail.
+        let shorter = pool.take_for_overwrite(1000);
+        assert_eq!(shorter.as_ptr() as usize, ptr);
+        assert_eq!(shorter.len(), 1000);
+        drop(shorter);
+        let longer = pool.take_for_overwrite(2000);
+        assert_eq!(longer.len(), 2000);
+        assert!(longer[1000..].iter().all(|&b| b == 0));
+        drop(longer);
+        assert_eq!(pool.retained(), 1);
     }
 
     #[test]

@@ -120,13 +120,15 @@ pub fn execute_single_cancellable<T: Transport + ?Sized>(
     match strategy {
         ExecStrategy::Conventional => run_conventional(directive, cluster, transport, cancel),
         ExecStrategy::Ppr => run_ppr(directive, cluster, transport, cancel),
-        ExecStrategy::RepairPipelining => {
-            run_pipeline(directive, cluster, transport, directive.layout, cancel)
-        }
-        ExecStrategy::BlockPipeline => {
-            let block_layout =
-                SliceLayout::new(directive.layout.block_size, directive.layout.block_size);
-            run_pipeline(directive, cluster, transport, block_layout, cancel)
+        ExecStrategy::RepairPipelining | ExecStrategy::BlockPipeline => {
+            let layout = match strategy {
+                ExecStrategy::BlockPipeline => {
+                    SliceLayout::new(directive.layout.block_size, directive.layout.block_size)
+                }
+                _ => directive.layout,
+            };
+            let pool = BufPool::new();
+            run_pipeline(directive, cluster, transport, layout, cancel, &pool)
         }
     }
 }
@@ -135,13 +137,17 @@ fn cancelled_error() -> EcPipeError {
     execution_error("repair cancelled mid-stream")
 }
 
-/// Slice-level (or block-level) pipelining along the helper path.
+/// Slice-level (or block-level) pipelining along the helper path. One pool
+/// serves the whole path: a partial buffer freed by the downstream consumer
+/// is reused for a later slice, so the steady state allocates nothing per
+/// slice.
 fn run_pipeline<T: Transport + ?Sized>(
     directive: &RepairDirective,
     cluster: &Cluster,
     transport: &T,
     layout: SliceLayout,
     cancel: &OnceFlag,
+    pool: &BufPool,
 ) -> Result<Vec<u8>> {
     let slices = layout.slice_count();
     let path = &directive.path;
@@ -149,11 +155,6 @@ fn run_pipeline<T: Transport + ?Sized>(
         return Err(execution_error("repair path has no helpers"));
     }
     let (stripe, repair) = (directive.stripe.0, directive.repair_id());
-
-    // One pool serves the whole path: a partial buffer freed by the
-    // downstream consumer is reused for a later slice, so the steady state
-    // allocates nothing per slice.
-    let pool = BufPool::new();
     std::thread::scope(|scope| -> Result<Vec<u8>> {
         let mut handles = Vec::new();
         let mut prev_rx = None;
@@ -166,14 +167,14 @@ fn run_pipeline<T: Transport + ?Sized>(
             let (tx, rx) = transport.link(node, next_node, PIPELINE_DEPTH);
             let store = cluster.store(node).clone();
             let incoming = prev_rx.replace(rx);
-            let pool = pool.clone();
             handles.push(scope.spawn(move || -> Result<()> {
                 for j in 0..slices {
                     if cancel.is_set() {
                         return Err(cancelled_error());
                     }
                     let local = store.get_range(block, layout.slice_range(j))?;
-                    let mut partial = pool.take(local.len());
+                    // `mul_slice` overwrites every byte of the partial.
+                    let mut partial = pool.take_for_overwrite(local.len());
                     gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
                     if let Some(rx) = &incoming {
                         let msg = rx
@@ -737,6 +738,63 @@ mod tests {
                 !cluster.store(7).contains(ecc::stripe::BlockId::new(0, 1)),
                 "a cancelled repair must leave no partial block"
             );
+        }
+    }
+
+    #[test]
+    fn stale_pooled_buffers_never_leak_into_a_repair() {
+        use crate::transport::ReactorTransport;
+
+        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(9, 6).unwrap());
+        let (cluster, mut coordinator, data, stripe) = setup(code);
+        cluster.erase_block(stripe, 2);
+        let directive = coordinator
+            .plan_single_repair(stripe, 2, 10, &[], SelectionPolicy::CodeDefault)
+            .unwrap();
+        let slice = directive.layout.slice_size;
+        let primed_pool = || {
+            let pool = BufPool::new();
+            let stale: Vec<_> = (0..2 * PIPELINE_DEPTH)
+                .map(|_| {
+                    let mut buf = pool.take(slice);
+                    buf.fill(0xAA);
+                    buf
+                })
+                .collect();
+            drop(stale);
+            pool
+        };
+
+        // Leave stale 0xAA payload buffers in every hop's receive pool too.
+        let reactor = ReactorTransport::new();
+        let mut hops: Vec<_> = directive
+            .path
+            .windows(2)
+            .map(|w| (w[0].0, w[1].0))
+            .collect();
+        hops.push((directive.path.last().unwrap().0, directive.requestor));
+        for (src, dst) in hops {
+            let (tx, rx) = reactor.link(src, dst, PIPELINE_DEPTH);
+            for i in 0..PIPELINE_DEPTH {
+                tx.send(SliceMsg::new(i, Bytes::from(vec![0xAA; slice])))
+                    .unwrap();
+            }
+            let held: Vec<_> = (0..PIPELINE_DEPTH).map(|_| rx.recv().unwrap()).collect();
+            drop(held);
+        }
+
+        let channel = ChannelTransport::new();
+        for transport in [&channel as &dyn Transport, &reactor] {
+            let repaired = run_pipeline(
+                &directive,
+                &cluster,
+                transport,
+                directive.layout,
+                &OnceFlag::new(),
+                &primed_pool(),
+            )
+            .unwrap();
+            assert_eq!(repaired, data[2]);
         }
     }
 

@@ -13,11 +13,11 @@
 //! byte-for-byte interchangeable.
 
 use std::collections::{HashMap, VecDeque};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use ecpipe_sync::{Condvar, Mutex};
-use simnet::NodeId;
 
 use crate::lock_order;
 
@@ -78,16 +78,21 @@ impl LinkState {
     }
 }
 
-/// The registry of live links and of which directed connection carries each
-/// one, so a connection teardown can close exactly the receive queues it
-/// fed.
+/// Names the socket connection carrying a link: the sending end's local
+/// address, which the accepting end sees as its peer address. Unlike the
+/// node pair, it tells a reconnected pair's new connection apart from the
+/// old one whose teardown may still be in progress.
+pub(super) type Carrier = SocketAddr;
+
+/// The registry of live links and of which connection carries each one, so
+/// a connection teardown can close exactly the receive queues it fed.
 pub(super) struct LinkTable {
     /// Lock class: `framed.links` ([`lock_order::FRAMED_LINKS`]).
     pub(super) links: Mutex<HashMap<u64, Arc<LinkState>>>,
-    /// Links riding each directed connection.
+    /// Links riding each connection.
     ///
     /// Lock class: `framed.conn_links` ([`lock_order::FRAMED_CONN_LINKS`]).
-    pub(super) conn_links: Mutex<HashMap<(NodeId, NodeId), Vec<u64>>>,
+    pub(super) conn_links: Mutex<HashMap<Carrier, Vec<u64>>>,
 }
 
 impl Default for LinkTable {
@@ -100,14 +105,17 @@ impl Default for LinkTable {
 }
 
 impl LinkTable {
-    /// Registers a freshly-opened link as riding the `pair` connection.
-    pub(super) fn register(&self, pair: (NodeId, NodeId), link_id: u64, link: Arc<LinkState>) {
+    /// Registers a freshly-opened link as riding the `carrier` connection
+    /// (`None` when the connection could not be set up).
+    pub(super) fn register(&self, carrier: Option<Carrier>, link_id: u64, link: Arc<LinkState>) {
         self.links.lock().insert(link_id, link);
-        self.conn_links
-            .lock()
-            .entry(pair)
-            .or_default()
-            .push(link_id);
+        if let Some(carrier) = carrier {
+            self.conn_links
+                .lock()
+                .entry(carrier)
+                .or_default()
+                .push(link_id);
+        }
     }
 
     /// Records that one local half of a link was dropped; once both halves
@@ -115,7 +123,7 @@ impl LinkTable {
     /// transport does not accumulate state for finished repairs.
     pub(super) fn release_link_half(
         &self,
-        pair: (NodeId, NodeId),
+        carrier: Option<Carrier>,
         link_id: u64,
         link: &LinkState,
         tx: bool,
@@ -131,21 +139,22 @@ impl LinkTable {
         };
         if both_dropped {
             self.links.lock().remove(&link_id);
-            if let Some(ids) = self.conn_links.lock().get_mut(&pair) {
-                ids.retain(|&id| id != link_id);
+            if let Some(carrier) = carrier {
+                let mut conn_links = self.conn_links.lock();
+                if let Some(ids) = conn_links.get_mut(&carrier) {
+                    ids.retain(|&id| id != link_id);
+                    if ids.is_empty() {
+                        conn_links.remove(&carrier);
+                    }
+                }
             }
         }
     }
 
-    /// Marks every link fed by the `(src, dst)` connection as
-    /// sender-closed: the connection is gone, no more slices can arrive.
-    pub(super) fn close_conn_links(&self, src: NodeId, dst: NodeId) {
-        let ids = self
-            .conn_links
-            .lock()
-            .get(&(src, dst))
-            .cloned()
-            .unwrap_or_default();
+    /// Marks every link fed by the `carrier` connection as sender-closed:
+    /// the connection is gone, no more slices can arrive.
+    pub(super) fn close_conn_links(&self, carrier: Carrier) {
+        let ids = self.conn_links.lock().remove(&carrier).unwrap_or_default();
         let links = self.links.lock();
         for id in ids {
             if let Some(link) = links.get(&id) {
@@ -178,7 +187,7 @@ impl LinkTable {
                             index: frame.index as usize,
                             stripe: frame.stripe,
                             repair: frame.repair,
-                            data: frame.payload.into(),
+                            data: frame.payload,
                         });
                         link.readable.notify_one();
                     }
@@ -200,7 +209,7 @@ impl LinkTable {
 /// both socket backends — receive semantics are identical once frames reach
 /// the link queue.
 pub(super) struct FramedRx {
-    pub(super) pair: (NodeId, NodeId),
+    pub(super) carrier: Option<Carrier>,
     pub(super) link_id: u64,
     pub(super) link: Arc<LinkState>,
     pub(super) table: Arc<LinkTable>,
@@ -224,6 +233,6 @@ impl Drop for FramedRx {
     fn drop(&mut self) {
         self.link.close_receiver();
         self.table
-            .release_link_half(self.pair, self.link_id, &self.link, false);
+            .release_link_half(self.carrier, self.link_id, &self.link, false);
     }
 }

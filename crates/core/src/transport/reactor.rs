@@ -16,25 +16,35 @@
 //!
 //! *Send path (caller threads).* A sender passes the link's credit gate,
 //! pays the token bucket, then locks the connection's outbound buffer: if
-//! the buffer is empty it writes directly to the nonblocking socket and
-//! queues only the remainder a full socket refuses (arming writable
-//! interest); otherwise it appends — FIFO order is preserved, so `EOS`
-//! always trails the data it follows. Senders block briefly on a high-water
-//! mark so an unbounded burst cannot balloon the buffer.
+//! the buffer is empty it writes the whole frame, header and payload, to
+//! the nonblocking socket in one vectored write
+//! ([`wire::write_frame`](super::wire::write_frame)), so the header never
+//! leaves as a segment of its own, and queues only the remainder a full
+//! socket refuses (arming writable interest); otherwise it appends — FIFO
+//! order is preserved, so `EOS` always trails the data it follows. Senders
+//! block briefly on a high-water mark so an unbounded burst cannot balloon
+//! the buffer.
 //!
 //! *Flush path (reactor threads).* When the socket turns writable the
 //! reactor drains the outbound buffer, disarms writable interest once
 //! empty, and wakes any sender parked on the watermark.
 //!
 //! *Receive path (reactor threads).* When an accepted socket turns readable
-//! the reactor reads until `WouldBlock`, feeds an incremental
-//! [`FrameDecoder`](super::wire::FrameDecoder), and dispatches the complete
-//! frames to their link queues — where [`FramedRx`] receivers (caller
-//! threads) pop them exactly as they do for the TCP backend. On EOF the
-//! connection deregisters itself and every link it fed is sender-closed.
+//! the reactor drives the connection's
+//! [`FrameDecoder`](super::wire::FrameDecoder) until `WouldBlock`: each
+//! header is read into a fixed array, each payload straight from the
+//! socket into a buffer from the connection's [`BufPool`] (one link
+//! window, [`PIPELINE_DEPTH`] buffers, is kept for reuse), which is frozen
+//! into the slice's `Bytes` without a copy. Complete frames go to their
+//! link queues — where [`FramedRx`] receivers (caller threads) pop them
+//! exactly as they do for the TCP backend — and a payload's buffer returns
+//! to the pool when its receiver drops the slice. On EOF the connection
+//! deregisters itself and every link it fed is sender-closed; links are
+//! keyed by the connection's sending address, so a reconnection's links
+//! are not.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,10 +54,12 @@ use ecpipe_reactor::{Interest, Reactor, Readiness, Registration, Source};
 use ecpipe_sync::{Condvar, Mutex};
 use simnet::{NodeId, Topology};
 
+use crate::buf::BufPool;
+use crate::exec::PIPELINE_DEPTH;
 use crate::lock_order;
 
-use super::framed::{FramedRx, LinkState, LinkTable, WAIT_TICK};
-use super::wire::{encode_header, FrameDecoder, HEADER_LEN, OP_DATA, OP_EOS, OP_HELLO};
+use super::framed::{Carrier, FramedRx, LinkState, LinkTable, WAIT_TICK};
+use super::wire::{self, encode_header, FrameDecoder, HEADER_LEN, OP_DATA, OP_EOS, OP_HELLO};
 use super::{
     Shaper, SliceMsg, SliceReceiver, SliceSender, SliceTx, StatsRegistry, TokenBucket, Transport,
     TransportError,
@@ -63,8 +75,10 @@ const DEFAULT_THREADS: usize = 2;
 /// socket stops accepting bytes.
 const HIGH_WATER: usize = 1 << 20;
 
-/// Read chunk size for the receive path.
-const READ_CHUNK: usize = 64 * 1024;
+/// Payload buffers each inbound connection's pool keeps for reuse: one link
+/// window of slices. A connection carrying several links at once allocates
+/// past it and lets the extras go, so idle connections hold little.
+const POOL_RETAINED: usize = PIPELINE_DEPTH;
 
 /// Buffered bytes to write out, plus the connection's liveness.
 struct OutboundState {
@@ -84,6 +98,8 @@ impl OutboundState {
 /// (and sender thread) between the pair.
 struct OutboundConn {
     pair: (NodeId, NodeId),
+    /// This end's address, naming the connection in the link table.
+    local: Carrier,
     stream: TcpStream,
     /// Lock class: `rtransport.conn` ([`lock_order::RTRANSPORT_CONN`]).
     state: Mutex<OutboundState>,
@@ -111,9 +127,9 @@ impl OutboundConn {
         }
     }
 
-    /// Writes one frame (header + payload), buffering whatever the socket
-    /// refuses. Frames from concurrent senders never interleave: the buffer
-    /// lock is held across both segments.
+    /// Writes one frame (header + payload) with one vectored write,
+    /// buffering whatever the socket refuses. Frames from concurrent
+    /// senders never interleave: the buffer lock is held across the frame.
     fn write_frame(&self, header: &[u8], payload: &[u8]) -> std::io::Result<()> {
         let mut state = self.state.lock();
         if state.closed {
@@ -122,31 +138,22 @@ impl OutboundConn {
                 "reactor transport connection is closed",
             ));
         }
-        for segment in [header, payload] {
-            let mut offset = 0;
-            // Direct-write only while nothing is queued ahead of us.
-            if state.pending() == 0 {
-                loop {
-                    if offset == segment.len() {
-                        break;
-                    }
-                    match (&self.stream).write(&segment[offset..]) {
-                        Ok(0) => break,
-                        Ok(n) => offset += n,
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(e) => {
-                            state.closed = true;
-                            self.drained.notify_all();
-                            return Err(e);
-                        }
-                    }
+        // Direct-write only while nothing is queued ahead of us.
+        let mut sent = 0;
+        if state.pending() == 0 {
+            match wire::write_frame(&self.stream, header, payload) {
+                Ok(n) => sent = n,
+                Err(e) => {
+                    state.closed = true;
+                    self.drained.notify_all();
+                    return Err(e);
                 }
             }
-            if offset < segment.len() {
-                state.buf.extend_from_slice(&segment[offset..]);
-            }
         }
+        let header_sent = sent.min(header.len());
+        let payload_sent = sent - header_sent;
+        state.buf.extend_from_slice(&header[header_sent..]);
+        state.buf.extend_from_slice(&payload[payload_sent..]);
         if state.pending() > 0 {
             self.set_writable_interest(true);
             // High-water mark: hold senders until the reactor drains the
@@ -241,14 +248,15 @@ impl Source for FlushSource {
 /// Parser state of one accepted (inbound) connection.
 struct InboundState {
     decoder: FrameDecoder,
-    /// The `(src, dst)` pair announced by the HELLO frame.
-    pair: Option<(NodeId, NodeId)>,
     finished: bool,
 }
 
 /// One accepted connection: reads frames and routes them to link queues.
 struct InboundConn {
     id: u64,
+    /// The sending end's address: the carrier of every link this
+    /// connection feeds.
+    peer: Carrier,
     stream: TcpStream,
     /// Lock class: `rtransport.conn` ([`lock_order::RTRANSPORT_CONN`]).
     state: Mutex<InboundState>,
@@ -260,41 +268,19 @@ impl Source for InboundConn {
     fn on_ready(&self, readiness: Readiness) {
         let mut frames = Vec::new();
         let finished;
-        let pair;
         {
             let mut state = self.state.lock();
             if state.finished {
                 return;
             }
             if readiness.readable {
-                let mut chunk = [0u8; READ_CHUNK];
-                loop {
-                    match (&self.stream).read(&mut chunk) {
-                        Ok(0) => {
-                            state.finished = true;
-                            break;
-                        }
-                        Ok(n) => state.decoder.extend(&chunk[..n]),
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            state.finished = true;
-                            break;
-                        }
-                    }
+                if !state.decoder.read_from(&self.stream, &mut frames) {
+                    state.finished = true;
                 }
             } else if readiness.closed {
                 state.finished = true;
             }
-            while let Some(frame) = state.decoder.next_frame() {
-                if frame.opcode == OP_HELLO {
-                    state.pair = Some((frame.link as NodeId, frame.index as NodeId));
-                } else {
-                    frames.push(frame);
-                }
-            }
             finished = state.finished;
-            pair = state.pair;
         }
         // Dispatch outside the connection lock: pushing into link queues
         // takes the (higher-ranked) link locks and wakes receivers.
@@ -308,9 +294,7 @@ impl Source for InboundConn {
                 conns.lock().inbound.remove(&self.id);
             }
             let _ = self.stream.shutdown(Shutdown::Both);
-            if let Some((src, dst)) = pair {
-                self.table.close_conn_links(src, dst);
-            }
+            self.table.close_conn_links(self.peer);
         }
     }
 }
@@ -327,7 +311,7 @@ struct AcceptSource {
 impl Source for AcceptSource {
     fn on_ready(&self, _readiness: Readiness) {
         loop {
-            let (stream, _) = match self.listener.accept() {
+            let (stream, peer) = match self.listener.accept() {
                 Ok(accepted) => accepted,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -346,12 +330,12 @@ impl Source for AcceptSource {
             conn_table.next_inbound += 1;
             let inbound = Arc::new(InboundConn {
                 id,
+                peer,
                 stream,
                 state: Mutex::new(
                     &lock_order::RTRANSPORT_CONN,
                     InboundState {
-                        decoder: FrameDecoder::default(),
-                        pair: None,
+                        decoder: FrameDecoder::new(BufPool::with_max_retained(POOL_RETAINED)),
                         finished: false,
                     },
                 ),
@@ -413,7 +397,6 @@ struct ReactorTx {
     /// The shared connection, or the socket-setup failure that prevented
     /// it (surfaced per-send, mirroring the TCP backend).
     conn: Result<Arc<OutboundConn>, String>,
-    pair: (NodeId, NodeId),
     link_id: u64,
     link: Arc<LinkState>,
     table: Arc<LinkTable>,
@@ -460,10 +443,14 @@ impl Drop for ReactorTx {
         // DATA frames went through, so it arrives after them.
         if let Ok(conn) = &self.conn {
             let header = encode_header(OP_EOS, self.link_id, 0, 0, 0, 0);
-            let _ = conn.write_frame(&header, &[]);
+            if conn.write_frame(&header, &[]).is_err() {
+                // The connection is gone; end the stream locally instead.
+                self.link.close_sender();
+            }
         }
+        let carrier = self.conn.as_ref().ok().map(|conn| conn.local);
         self.table
-            .release_link_half(self.pair, self.link_id, &self.link, true);
+            .release_link_half(carrier, self.link_id, &self.link, true);
     }
 }
 
@@ -626,6 +613,7 @@ impl ReactorTransport {
         stream.set_nonblocking(true)?;
         let conn = Arc::new(OutboundConn {
             pair: (src, dst),
+            local: stream.local_addr()?,
             stream,
             state: Mutex::new(
                 &lock_order::RTRANSPORT_CONN,
@@ -673,13 +661,13 @@ impl Transport for ReactorTransport {
             // let the sender report the setup failure on first use.
             link.close_sender();
         }
-        self.table.register((src, dst), link_id, link.clone());
+        let carrier = conn.as_ref().ok().map(|conn| conn.local);
+        self.table.register(carrier, link_id, link.clone());
         let bucket = self.shaper.bucket(src, dst);
         (
             SliceSender {
                 inner: Box::new(ReactorTx {
                     conn,
-                    pair: (src, dst),
                     link_id,
                     link: link.clone(),
                     table: self.table.clone(),
@@ -689,7 +677,7 @@ impl Transport for ReactorTransport {
             },
             SliceReceiver {
                 inner: Box::new(FramedRx {
-                    pair: (src, dst),
+                    carrier,
                     link_id,
                     link,
                     table: self.table.clone(),
@@ -834,6 +822,54 @@ mod tests {
             }
         });
         assert_eq!(transport.link_bytes(0, 1), 32 * 256 * 1024);
+    }
+
+    #[test]
+    fn received_payloads_reuse_the_connection_pool() {
+        let transport = ReactorTransport::new();
+        let (tx, rx) = transport.link(0, 1, 3 * POOL_RETAINED);
+        let retained = || {
+            let conns = transport.conns.lock();
+            let entry = conns
+                .inbound
+                .values()
+                .next()
+                .expect("one inbound connection");
+            let retained = entry.conn.state.lock().decoder.pool().retained();
+            retained
+        };
+        let payload = Bytes::from(vec![3u8; 32 * 1024]);
+
+        // Warm-up: the first slice's buffer enters the connection's pool.
+        tx.send(SliceMsg::new(0, payload.clone())).unwrap();
+        let warm = rx.recv().unwrap();
+        let addr = warm.data.as_ptr() as usize;
+        drop(warm);
+
+        // One slice in flight at a time: every payload is read into the
+        // same recycled allocation.
+        for i in 1..=64 {
+            tx.send(SliceMsg::new(i, payload.clone())).unwrap();
+            let msg = rx.recv().unwrap();
+            assert_eq!(msg.data, payload);
+            assert_eq!(
+                msg.data.as_ptr() as usize,
+                addr,
+                "slice {i} was reallocated"
+            );
+            drop(msg);
+            assert_eq!(retained(), 1);
+        }
+
+        // A burst deeper than the window allocates past the pool, and the
+        // pool keeps only its bound when the burst drains.
+        for i in 0..3 * POOL_RETAINED {
+            tx.send(SliceMsg::new(i, payload.clone())).unwrap();
+        }
+        let held: Vec<_> = (0..3 * POOL_RETAINED).map(|_| rx.recv().unwrap()).collect();
+        assert_eq!(retained(), 0);
+        drop(held);
+        assert_eq!(retained(), POOL_RETAINED);
     }
 
     #[test]

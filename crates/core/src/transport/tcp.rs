@@ -25,7 +25,7 @@
 //! block send (§3.2), which the conformance tests measure.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,8 +36,8 @@ use simnet::{NodeId, Topology};
 
 use crate::lock_order;
 
-use super::framed::{FramedRx, LinkState, LinkTable, WAIT_TICK};
-use super::wire::{encode_header, read_frame, OP_DATA, OP_EOS, OP_HELLO};
+use super::framed::{Carrier, FramedRx, LinkState, LinkTable, WAIT_TICK};
+use super::wire::{self, encode_header, read_frame, OP_DATA, OP_EOS, OP_HELLO};
 use super::{
     Shaper, SliceMsg, SliceReceiver, SliceSender, SliceTx, StatsRegistry, TokenBucket, Transport,
     TransportError,
@@ -46,6 +46,8 @@ use super::{
 /// One reusable TCP connection for a directed node pair. All links between
 /// the pair share the writer; frames carry the link id for demultiplexing.
 struct Conn {
+    /// This end's address, naming the connection in the link table.
+    local: Carrier,
     /// Lock class: `tcp.writer` ([`lock_order::TCP_WRITER`]).
     writer: Mutex<TcpStream>,
     /// Clone used to interrupt blocked I/O at shutdown.
@@ -64,8 +66,16 @@ impl Conn {
     ) -> std::io::Result<()> {
         let header = encode_header(opcode, link, index, stripe, repair, payload.len() as u32);
         let mut writer = self.writer.lock();
-        writer.write_all(&header)?;
-        writer.write_all(payload)
+        let sent = wire::write_frame(&mut *writer, &header, payload)?;
+        if sent < header.len() + payload.len() {
+            // Only a socket with a write timeout can stop short; this one
+            // has none.
+            return Err(std::io::Error::new(
+                ErrorKind::TimedOut,
+                "tcp transport socket stopped mid-frame",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -96,7 +106,6 @@ struct TcpTx {
     /// it: setup errors surface per-send as `TransportError::Io` (failing
     /// the repair) instead of panicking inside the executor.
     conn: Result<Arc<Conn>, String>,
-    pair: (NodeId, NodeId),
     link_id: u64,
     link: Arc<LinkState>,
     shared: Arc<Shared>,
@@ -122,7 +131,7 @@ impl SliceTx for TcpTx {
             inner.credits -= 1;
         }
         if let Some(bucket) = &self.bucket {
-            bucket.take(super::wire::HEADER_LEN + msg.data.len());
+            bucket.take(wire::HEADER_LEN + msg.data.len());
         }
         conn.write_frame(
             OP_DATA,
@@ -141,11 +150,18 @@ impl Drop for TcpTx {
         // Graceful end-of-stream: queued DATA frames arrive first (same
         // socket, FIFO), then the receiver sees the close.
         if let Ok(conn) = &self.conn {
-            let _ = conn.write_frame(OP_EOS, self.link_id, 0, 0, 0, &[]);
+            if conn
+                .write_frame(OP_EOS, self.link_id, 0, 0, 0, &[])
+                .is_err()
+            {
+                // The connection is gone; end the stream locally instead.
+                self.link.close_sender();
+            }
         }
+        let carrier = self.conn.as_ref().ok().map(|conn| conn.local);
         self.shared
             .table
-            .release_link_half(self.pair, self.link_id, &self.link, true);
+            .release_link_half(carrier, self.link_id, &self.link, true);
     }
 }
 
@@ -249,6 +265,7 @@ impl TcpTransport {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let conn = Arc::new(Conn {
+            local: stream.local_addr()?,
             writer: Mutex::new(&lock_order::TCP_WRITER, stream.try_clone()?),
             stream,
         });
@@ -271,15 +288,13 @@ impl Transport for TcpTransport {
             // let the sender report the setup failure on first use.
             link.close_sender();
         }
-        self.shared
-            .table
-            .register((src, dst), link_id, link.clone());
+        let carrier = conn.as_ref().ok().map(|conn| conn.local);
+        self.shared.table.register(carrier, link_id, link.clone());
         let bucket = self.shaper.bucket(src, dst);
         (
             SliceSender {
                 inner: Box::new(TcpTx {
                     conn,
-                    pair: (src, dst),
                     link_id,
                     link: link.clone(),
                     shared: self.shared.clone(),
@@ -289,7 +304,7 @@ impl Transport for TcpTransport {
             },
             SliceReceiver {
                 inner: Box::new(FramedRx {
-                    pair: (src, dst),
+                    carrier,
                     link_id,
                     link,
                     table: self.shared.table.clone(),
@@ -328,35 +343,30 @@ impl Drop for TcpTransport {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while let Ok((stream, _)) = listener.accept() {
+    while let Ok((stream, peer)) = listener.accept() {
         if shared.shutdown.is_set() {
             break;
         }
         stream.set_nodelay(true).ok();
         let shared_for_reader = shared.clone();
-        let reader = std::thread::spawn(move || reader_loop(stream, shared_for_reader));
+        let reader = std::thread::spawn(move || reader_loop(stream, peer, shared_for_reader));
         shared.reader_threads.lock().push(reader);
     }
 }
 
-/// Consumes frames from one accepted connection and routes them to the
-/// in-process link queues.
-fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
-    let mut pair: Option<(NodeId, NodeId)> = None;
+/// Consumes frames from one accepted connection (whose sending end is
+/// `peer`) and routes them to the in-process link queues.
+fn reader_loop(mut stream: TcpStream, peer: Carrier, shared: Arc<Shared>) {
     // Ends on EOF or a reset: the peer (or the transport's Drop) tore the
     // connection down; every link it fed is finished.
     while let Ok(frame) = read_frame(&mut stream) {
         match frame.opcode {
-            OP_HELLO => {
-                pair = Some((frame.link as NodeId, frame.index as NodeId));
-            }
+            OP_HELLO => {}
             OP_DATA | OP_EOS => shared.table.dispatch(frame),
             _ => break,
         }
     }
-    if let Some((src, dst)) = pair {
-        shared.table.close_conn_links(src, dst);
-    }
+    shared.table.close_conn_links(peer);
 }
 
 #[cfg(test)]

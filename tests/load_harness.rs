@@ -44,13 +44,21 @@ fn reactor_harness_sustains_a_thousand_in_flight_ops_on_fixed_threads() {
     assert!(warm_report.overall.ops > 0);
     let threads_before = os_thread_count();
 
-    // The burst: offered load far beyond what the workers can absorb, so
-    // the open-loop queue deepens past 1000 within the burst window. The
-    // preloaded population already exists; reuse it via the same seed-free
-    // object naming by keeping `objects` equal.
+    // The burst: 6 000 ops offered far faster than the workers can absorb
+    // them, so the open-loop queue deepens past 1000 within the burst
+    // window. At the warm-up's rate nothing queues, so its median latency
+    // is about one op's service time, and the workers complete at most
+    // `workers` ops per service time. Offering ten times that exceeds
+    // capacity by construction, however fast the build and the host are.
+    // The preloaded population already exists; reuse it via the same
+    // seed-free object naming by keeping `objects` equal.
+    const BURST_OPS: f64 = 6_000.0;
+    let service = Duration::from_nanos(warm_report.overall.p50_ns.max(1));
+    let capacity = warmup.workers as f64 / service.as_secs_f64();
+    let rate = (10.0 * capacity).max(40_000.0);
     let burst = HarnessConfig {
-        rate: 40_000.0,
-        duration: Duration::from_millis(150),
+        rate,
+        duration: Duration::from_secs_f64(BURST_OPS / rate),
         ..warmup.clone()
     };
     // Re-running preloads the same `lg-*` names; drop them first so the
