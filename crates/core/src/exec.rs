@@ -1,42 +1,52 @@
-//! Repair executors: real threads moving real bytes.
+//! Repair executors: one non-blocking driver moving real bytes.
 //!
-//! Each strategy wires helper worker threads together with bounded channels
-//! and runs the repair end to end against the cluster's block stores, so the
-//! reconstructed block can be checked byte-for-byte against the erased one.
+//! Each strategy is a list of *stages* — one per helper, plus the
+//! requestor's sink — joined by bounded [`Transport`] links (channels, TCP
+//! or reactor sockets, optionally throttled) and run against the cluster's
+//! block stores, so the rebuilt block can be checked byte for byte:
+//! [`ExecStrategy::Conventional`] and [`ExecStrategy::Ppr`] (§2.2),
+//! [`ExecStrategy::RepairPipelining`] (§3.2: slices flow along the helper
+//! path, each helper adding `a_i * B_i`), [`ExecStrategy::BlockPipeline`]
+//! (`Pipe-B`, §6.4) and the multi-block [`execute_multi`] (§4.4).
 //!
-//! * [`ExecStrategy::Conventional`] — every helper streams its whole block to
-//!   the requestor, which performs the decoding combination (§2.2).
-//! * [`ExecStrategy::Ppr`] — partial-parallel repair: helpers combine
-//!   pairwise along a binary aggregation tree (§2.2).
-//! * [`ExecStrategy::RepairPipelining`] — the paper's contribution: slices
-//!   flow along the linear helper path, each helper adding `a_i * B_i` (§3.2).
-//! * [`ExecStrategy::BlockPipeline`] — the `Pipe-B` baseline of §6.4: the
-//!   same path but at whole-block granularity.
-//!
-//! The executors are generic over the [`Transport`] trait: the same
-//! strategies run over in-process channels
-//! ([`ChannelTransport`](crate::transport::ChannelTransport), no bandwidth
-//! limits, used for correctness tests and throughput microbenches) or real
-//! localhost sockets ([`TcpTransport`](crate::transport::TcpTransport),
-//! optionally throttled so the §3.2 timing claims can be measured on the
-//! wire). Timing-shape experiments at scale still run on the `simnet`
-//! simulator.
+//! A stage never blocks: it takes the upstream slice if one has arrived
+//! ([`SliceReceiver::try_recv`]), reads and combines its local slice, and
+//! offers the result downstream ([`SliceSender::try_send`]), holding it while
+//! the link has no credit or paces it. A *lane* steps its stages in path
+//! order until none moves, then sleeps on its
+//! [`Waker`](crate::transport::Waker) — which its links wake when data
+//! arrives, credit returns or a peer closes — at most until a paced slice
+//! may go, and never longer than `WAIT_TICK`, checking for cancellation on
+//! every sweep. A repair runs on
+//! `L = clamp(cores / executions in flight, 1, helpers)` lanes: the calling
+//! thread drives the last contiguous segment of stages plus the sink, and
+//! `L − 1` scoped threads drive the others. Both inputs are process-wide
+//! facts, not settings: a lone degraded read uses every core, while
+//! concurrent recoveries each stay on their own thread and no slice hop
+//! crosses a thread.
+
+use std::collections::HashMap;
 
 use bytes::Bytes;
+use ecc::slice::SliceLayout;
+use ecc::stripe::BlockId;
 use ecpipe_sync::OnceFlag;
 use gf256::Gf256;
-
-use ecc::slice::SliceLayout;
+use simnet::NodeId;
 
 use crate::buf::BufPool;
 use crate::cluster::Cluster;
 use crate::coordinator::{MultiRepairDirective, RepairDirective};
-use crate::transport::{SliceMsg, Transport};
+use crate::transport::{SliceReceiver, SliceSender, Transport};
 use crate::{EcPipeError, Result};
 
+mod driver;
+
+use driver::{drive, Fold, Helper, Input, Sink, Source, Stage};
+
 /// The number of slices that may be buffered between two pipeline stages.
-/// Senders block (backpressure) once this many slices are in flight on one
-/// link.
+/// Once this many slices are in flight on one link, the link hands further
+/// slices back to their stage (backpressure).
 pub const PIPELINE_DEPTH: usize = 8;
 
 /// How a single-block repair is executed.
@@ -53,34 +63,33 @@ pub enum ExecStrategy {
     BlockPipeline,
 }
 
-impl ExecStrategy {
-    /// A short label matching the paper's figures.
-    #[deprecated(since = "0.2.0", note = "use the `Display` impl instead")]
-    pub fn label(&self) -> &'static str {
-        match self {
+impl std::fmt::Display for ExecStrategy {
+    /// Formats as the short label used in the paper's figures (`Conv.`,
+    /// `PPR`, `RP`, `Pipe-B`), so strategy names are uniform across reports
+    /// and benches. `pad` honors width/alignment options in table output.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(match self {
             ExecStrategy::Conventional => "Conv.",
             ExecStrategy::Ppr => "PPR",
             ExecStrategy::RepairPipelining => "RP",
             ExecStrategy::BlockPipeline => "Pipe-B",
-        }
-    }
-}
-
-impl std::fmt::Display for ExecStrategy {
-    /// Formats as the short label used in the paper's figures (`Conv.`,
-    /// `PPR`, `RP`, `Pipe-B`), so strategy names are uniform across reports
-    /// and benches.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // One string table: the deprecated alias keeps serving it until it
-        // is removed. `pad` honors width/alignment options in table output.
-        #[allow(deprecated)]
-        f.pad(self.label())
+        })
     }
 }
 
 fn execution_error(reason: impl Into<String>) -> EcPipeError {
     EcPipeError::Execution {
         reason: reason.into(),
+    }
+}
+
+/// Pre-flight: every helper block must still be present. A block that
+/// disappeared after planning surfaces as `BlockNotFound`, which lets the
+/// caller restart with a different helper set (§3.2).
+fn present(cluster: &Cluster, mut blocks: impl Iterator<Item = (NodeId, BlockId)>) -> Result<()> {
+    match blocks.find(|&(node, block)| !cluster.store(node).contains(block)) {
+        Some((_, block)) => Err(EcPipeError::BlockNotFound { block }),
+        None => Ok(()),
     }
 }
 
@@ -95,8 +104,9 @@ pub fn execute_single<T: Transport + ?Sized>(
 }
 
 /// [`execute_single`] with cooperative cancellation: once `cancel` is set,
-/// every stage bails out at its next slice boundary and the repair fails
-/// with an [`EcPipeError::Execution`] error instead of completing.
+/// every lane bails out at its next sweep — within `WAIT_TICK` — and the
+/// repair fails with an [`EcPipeError::Execution`] error instead of
+/// completing.
 ///
 /// The repair manager's link watchdog uses this to abandon a stream whose
 /// path crosses a degraded link, then re-plans the repair around it. A
@@ -109,38 +119,28 @@ pub fn execute_single_cancellable<T: Transport + ?Sized>(
     strategy: ExecStrategy,
     cancel: &OnceFlag,
 ) -> Result<Vec<u8>> {
-    // Pre-flight: every helper block must still be present. A block that
-    // disappeared after planning surfaces as `BlockNotFound`, which lets the
-    // caller restart with a different helper set (§3.2).
-    for &(node, block, _) in &directive.path {
-        if !cluster.store(node).contains(block) {
-            return Err(EcPipeError::BlockNotFound { block });
-        }
-    }
+    present(
+        cluster,
+        directive.path.iter().map(|&(node, block, _)| (node, block)),
+    )?;
+    let block_size = directive.layout.block_size;
+    let layout = match strategy {
+        ExecStrategy::BlockPipeline => SliceLayout::new(block_size, block_size),
+        _ => directive.layout,
+    };
+    let pool = BufPool::new();
+    let tag = (directive.stripe.0, directive.repair_id());
+    let run = Run::new(cluster, transport, layout, tag, cancel, &pool);
     match strategy {
-        ExecStrategy::Conventional => run_conventional(directive, cluster, transport, cancel),
-        ExecStrategy::Ppr => run_ppr(directive, cluster, transport, cancel),
+        ExecStrategy::Conventional => run.conventional(directive),
+        ExecStrategy::Ppr => run.ppr(directive),
         ExecStrategy::RepairPipelining | ExecStrategy::BlockPipeline => {
-            let layout = match strategy {
-                ExecStrategy::BlockPipeline => {
-                    SliceLayout::new(directive.layout.block_size, directive.layout.block_size)
-                }
-                _ => directive.layout,
-            };
-            let pool = BufPool::new();
             run_pipeline(directive, cluster, transport, layout, cancel, &pool)
         }
     }
 }
 
-fn cancelled_error() -> EcPipeError {
-    execution_error("repair cancelled mid-stream")
-}
-
-/// Slice-level (or block-level) pipelining along the helper path. One pool
-/// serves the whole path: a partial buffer freed by the downstream consumer
-/// is reused for a later slice, so the steady state allocates nothing per
-/// slice.
+/// Slice-level (or block-level) pipelining along the helper path.
 fn run_pipeline<T: Transport + ?Sized>(
     directive: &RepairDirective,
     cluster: &Cluster,
@@ -149,246 +149,12 @@ fn run_pipeline<T: Transport + ?Sized>(
     cancel: &OnceFlag,
     pool: &BufPool,
 ) -> Result<Vec<u8>> {
-    let slices = layout.slice_count();
-    let path = &directive.path;
-    if path.is_empty() {
-        return Err(execution_error("repair path has no helpers"));
-    }
-    let (stripe, repair) = (directive.stripe.0, directive.repair_id());
-    std::thread::scope(|scope| -> Result<Vec<u8>> {
-        let mut handles = Vec::new();
-        let mut prev_rx = None;
-        for (i, &(node, block, coeff)) in path.iter().enumerate() {
-            let next_node = if i + 1 < path.len() {
-                path[i + 1].0
-            } else {
-                directive.requestor
-            };
-            let (tx, rx) = transport.link(node, next_node, PIPELINE_DEPTH);
-            let store = cluster.store(node).clone();
-            let incoming = prev_rx.replace(rx);
-            handles.push(scope.spawn(move || -> Result<()> {
-                for j in 0..slices {
-                    if cancel.is_set() {
-                        return Err(cancelled_error());
-                    }
-                    let local = store.get_range(block, layout.slice_range(j))?;
-                    // `mul_slice` overwrites every byte of the partial.
-                    let mut partial = pool.take_for_overwrite(local.len());
-                    gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
-                    if let Some(rx) = &incoming {
-                        let msg = rx
-                            .recv()
-                            .ok_or_else(|| execution_error("upstream helper stopped early"))?;
-                        gf256::add_slice(&msg.data, &mut partial);
-                    }
-                    tx.send(SliceMsg::new(j, partial.freeze()).tagged(stripe, repair))?;
-                }
-                Ok(())
-            }));
-        }
-
-        // The requestor assembles the repaired block.
-        let rx = prev_rx.expect("path has at least one helper");
-        let mut out = vec![0u8; layout.block_size];
-        let mut stalled = false;
-        for _ in 0..slices {
-            if cancel.is_set() {
-                stalled = true;
-                break;
-            }
-            match rx.recv() {
-                Some(msg) => out[layout.slice_range(msg.index)].copy_from_slice(&msg.data),
-                None => {
-                    stalled = true;
-                    break;
-                }
-            }
-        }
-        drop(rx);
-        // Join the helpers before reporting a stall: a helper that failed a
-        // local read (a vanished or checksum-corrupt block) carries the
-        // specific error; the requestor only saw the stream end early.
-        join_all(handles)?;
-        if stalled {
-            return Err(execution_error(
-                "pipeline ended before the block was complete",
-            ));
-        }
-        Ok(out)
-    })
-}
-
-/// Conventional repair: the requestor pulls every helper block and decodes.
-fn run_conventional<T: Transport + ?Sized>(
-    directive: &RepairDirective,
-    cluster: &Cluster,
-    transport: &T,
-    cancel: &OnceFlag,
-) -> Result<Vec<u8>> {
-    let layout = directive.layout;
-    let slices = layout.slice_count();
-    let (stripe, repair) = (directive.stripe.0, directive.repair_id());
-
-    std::thread::scope(|scope| -> Result<Vec<u8>> {
-        let mut handles = Vec::new();
-        let mut receivers = Vec::new();
-        for &(node, block, coeff) in &directive.path {
-            let (tx, rx) = transport.link(node, directive.requestor, PIPELINE_DEPTH);
-            receivers.push((rx, coeff));
-            let store = cluster.store(node).clone();
-            handles.push(scope.spawn(move || -> Result<()> {
-                for j in 0..slices {
-                    if cancel.is_set() {
-                        return Err(cancelled_error());
-                    }
-                    let local = store.get_range(block, layout.slice_range(j))?;
-                    tx.send(SliceMsg::new(j, local).tagged(stripe, repair))?;
-                }
-                Ok(())
-            }));
-        }
-
-        let mut out = vec![0u8; layout.block_size];
-        let mut stalled = false;
-        'links: for (rx, coeff) in receivers {
-            for _ in 0..slices {
-                if cancel.is_set() {
-                    stalled = true;
-                    break 'links;
-                }
-                let Some(msg) = rx.recv() else {
-                    stalled = true;
-                    // Breaking drops the remaining receivers, so the other
-                    // helpers fail their sends and terminate.
-                    break 'links;
-                };
-                gf256::mul_add_slice(
-                    Gf256::new(coeff),
-                    &msg.data,
-                    &mut out[layout.slice_range(msg.index)],
-                );
-            }
-        }
-        join_all(handles)?;
-        if stalled {
-            return Err(execution_error("helper stopped before sending its block"));
-        }
-        Ok(out)
-    })
-}
-
-/// Partial-parallel repair: pairwise aggregation along a binary tree.
-fn run_ppr<T: Transport + ?Sized>(
-    directive: &RepairDirective,
-    cluster: &Cluster,
-    transport: &T,
-    cancel: &OnceFlag,
-) -> Result<Vec<u8>> {
-    let layout = directive.layout;
-    let slices = layout.slice_count();
-    let (stripe, repair) = (directive.stripe.0, directive.repair_id());
-
-    // Initial partials: every helper scales its local block by its
-    // coefficient (in parallel).
-    let mut partials: std::collections::HashMap<simnet::NodeId, Vec<u8>> =
-        std::thread::scope(|scope| -> Result<_> {
-            let handles: Vec<_> = directive
-                .path
-                .iter()
-                .map(|&(node, block, coeff)| {
-                    let store = cluster.store(node).clone();
-                    scope.spawn(move || -> Result<(simnet::NodeId, Vec<u8>)> {
-                        let local = store.get(block)?;
-                        let mut partial = vec![0u8; local.len()];
-                        gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
-                        Ok((node, partial))
-                    })
-                })
-                .collect();
-            let mut map = std::collections::HashMap::new();
-            for h in handles {
-                let (node, partial) = h
-                    .join()
-                    .map_err(|_| execution_error("helper thread panicked"))??;
-                map.insert(node, partial);
-            }
-            Ok(map)
-        })?;
-    // The requestor starts with an all-zero partial.
-    partials.insert(directive.requestor, vec![0u8; layout.block_size]);
-
-    let rounds = repair::ppr::aggregation_rounds(&directive.helper_nodes(), directive.requestor);
-    for round in rounds {
-        // All pairs of a round run in parallel; senders stream their partial
-        // to receivers slice by slice.
-        let mut work = Vec::new();
-        for (sender, receiver) in round {
-            let sender_partial = partials
-                .remove(&sender)
-                .ok_or_else(|| execution_error("sender has no partial result"))?;
-            let receiver_partial = partials
-                .remove(&receiver)
-                .ok_or_else(|| execution_error("receiver has no partial result"))?;
-            work.push((sender, receiver, sender_partial, receiver_partial));
-        }
-        let results = std::thread::scope(|scope| -> Result<Vec<(simnet::NodeId, Vec<u8>)>> {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|(sender, receiver, sender_partial, mut receiver_partial)| {
-                    let (tx, rx) = transport.link(sender, receiver, PIPELINE_DEPTH);
-                    let send_handle = scope.spawn(move || -> Result<()> {
-                        // Freeze the whole partial once; each slice message
-                        // is a view into the same allocation.
-                        let sender_bytes = Bytes::from(sender_partial);
-                        for j in 0..slices {
-                            if cancel.is_set() {
-                                return Err(cancelled_error());
-                            }
-                            let data = sender_bytes.slice(layout.slice_range(j));
-                            tx.send(SliceMsg::new(j, data).tagged(stripe, repair))?;
-                        }
-                        Ok(())
-                    });
-                    let recv_handle = scope.spawn(move || -> Result<(simnet::NodeId, Vec<u8>)> {
-                        for _ in 0..slices {
-                            if cancel.is_set() {
-                                return Err(cancelled_error());
-                            }
-                            let msg = rx
-                                .recv()
-                                .ok_or_else(|| execution_error("sender stopped early"))?;
-                            gf256::add_slice(
-                                &msg.data,
-                                &mut receiver_partial[layout.slice_range(msg.index)],
-                            );
-                        }
-                        Ok((receiver, receiver_partial))
-                    });
-                    (send_handle, recv_handle)
-                })
-                .collect();
-            let mut results = Vec::new();
-            for (send_handle, recv_handle) in handles {
-                send_handle
-                    .join()
-                    .map_err(|_| execution_error("sender thread panicked"))??;
-                results.push(
-                    recv_handle
-                        .join()
-                        .map_err(|_| execution_error("receiver thread panicked"))??,
-                );
-            }
-            Ok(results)
-        })?;
-        for (node, partial) in results {
-            partials.insert(node, partial);
-        }
-    }
-
-    partials
-        .remove(&directive.requestor)
-        .ok_or_else(|| execution_error("aggregation did not reach the requestor"))
+    let tag = (directive.stripe.0, directive.repair_id());
+    let run = Run::new(cluster, transport, layout, tag, cancel, pool);
+    let path: Vec<_> = (directive.path.iter())
+        .map(|&(node, block, coeff)| (node, block, vec![Gf256::new(coeff)]))
+        .collect();
+    Ok(run.pipeline(&path, &[directive.requestor])?.remove(0))
 }
 
 /// Executes a multi-block repair (§4.4): each helper reads its block once and
@@ -399,143 +165,176 @@ pub fn execute_multi<T: Transport + ?Sized>(
     cluster: &Cluster,
     transport: &T,
 ) -> Result<Vec<Vec<u8>>> {
-    let layout = directive.layout;
-    let slices = layout.slice_count();
-    let (stripe, repair) = (directive.stripe.0, directive.repair_id());
-    let f = directive.plan.failure_count();
-    let path = &directive.path;
-    if path.is_empty() {
-        return Err(execution_error("repair path has no helpers"));
-    }
-    for &(node, block) in path {
-        if !cluster.store(node).contains(block) {
-            return Err(EcPipeError::BlockNotFound { block });
-        }
-    }
-
-    // Delivery links from the last helper to each requestor. The channel
-    // capacity covers the whole block so the last helper never blocks on a
-    // requestor that is collected later.
-    let last_helper = path.last().expect("path checked non-empty").0;
-    let (delivery_senders, delivery_receivers): (Vec<_>, Vec<_>) = directive
-        .requestors
-        .iter()
-        .map(|&r| transport.link(last_helper, r, slices.max(PIPELINE_DEPTH)))
-        .unzip();
-
-    let pool = BufPool::new();
-    std::thread::scope(|scope| -> Result<Vec<Vec<u8>>> {
-        let mut handles = Vec::new();
-        let mut prev_rx = None;
-        let mut delivery_senders = Some(delivery_senders);
-        for (i, &(node, block)) in path.iter().enumerate() {
-            let is_last = i + 1 == path.len();
-            let coeffs: Vec<u8> = directive
-                .plan
-                .coefficients
-                .iter()
-                .map(|row| row[i])
-                .collect();
-            let store = cluster.store(node).clone();
-            let incoming = prev_rx.take();
-            let forward = if !is_last {
-                let (tx, rx) = transport.link(node, path[i + 1].0, PIPELINE_DEPTH);
-                prev_rx = Some(rx);
-                Some(tx)
-            } else {
-                None
-            };
-            let delivery = if is_last {
-                delivery_senders.take()
-            } else {
-                None
-            };
-            let pool = pool.clone();
-            handles.push(scope.spawn(move || -> Result<()> {
-                for j in 0..slices {
-                    let local = store.get_range(block, layout.slice_range(j))?;
-                    let mut bundle = pool.take(f * local.len());
-                    if let Some(rx) = &incoming {
-                        let msg = rx
-                            .recv()
-                            .ok_or_else(|| execution_error("upstream helper stopped early"))?;
-                        bundle.copy_from_slice(&msg.data);
-                    }
-                    for (row, &coeff) in coeffs.iter().enumerate() {
-                        gf256::mul_add_slice(
-                            Gf256::new(coeff),
-                            &local,
-                            &mut bundle[row * local.len()..(row + 1) * local.len()],
-                        );
-                    }
-                    let bundle = bundle.freeze();
-                    if let Some(tx) = &forward {
-                        tx.send(SliceMsg::new(j, bundle).tagged(stripe, repair))?;
-                    } else if let Some(delivery) = &delivery {
-                        // Each requestor receives a view into the shared
-                        // bundle, not its own copy.
-                        for (row, tx) in delivery.iter().enumerate() {
-                            let slice = bundle.slice(row * local.len()..(row + 1) * local.len());
-                            tx.send(SliceMsg::new(j, slice).tagged(stripe, repair))?;
-                        }
-                    }
-                }
-                Ok(())
-            }));
-        }
-
-        // Collect each requestor's block.
-        let mut outputs = vec![vec![0u8; layout.block_size]; f];
-        let mut stalled = false;
-        'rows: for (row, rx) in delivery_receivers.into_iter().enumerate() {
-            for _ in 0..slices {
-                let Some(msg) = rx.recv() else {
-                    stalled = true;
-                    break 'rows;
-                };
-                outputs[row][layout.slice_range(msg.index)].copy_from_slice(&msg.data);
-            }
-        }
-        join_all(handles)?;
-        if stalled {
-            return Err(execution_error("delivery ended before block was complete"));
-        }
-        Ok(outputs)
-    })
+    present(cluster, directive.path.iter().copied())?;
+    let (never, pool) = (OnceFlag::new(), BufPool::new());
+    let tag = (directive.stripe.0, directive.repair_id());
+    let run = Run::new(cluster, transport, directive.layout, tag, &never, &pool);
+    let path: Vec<_> = (directive.path.iter().enumerate())
+        .map(|(i, &(node, block))| {
+            let rows = directive.plan.coefficients.iter();
+            (node, block, rows.map(|row| Gf256::new(row[i])).collect())
+        })
+        .collect();
+    run.pipeline(&path, &directive.requestors)
 }
 
-/// Joins every helper thread. When several failed, the most *specific* error
-/// wins: a local-read failure (a corrupt or vanished block) explains the
-/// repair's failure, while `Execution` errors are usually just the
-/// downstream echo of that same event ("peer gone", "upstream stopped
-/// early"). The manager relies on this to re-plan around the actual culprit
-/// instead of seeing a generic stream failure.
-fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, Result<()>>>) -> Result<()> {
-    fn specificity(e: &EcPipeError) -> u8 {
-        match e {
-            EcPipeError::CorruptBlock { .. } | EcPipeError::BlockNotFound { .. } => 2,
-            EcPipeError::Execution { .. } => 0,
-            _ => 1,
+/// What the stages of one execution share. One pool serves every helper:
+/// a buffer freed downstream is reused for a later slice, so the steady
+/// state allocates nothing per slice.
+struct Run<'a, T: ?Sized> {
+    cluster: &'a Cluster,
+    transport: &'a T,
+    layout: SliceLayout,
+    /// `(stripe, repair id)`, carried by every slice on the wire.
+    tag: (u64, u64),
+    cancel: &'a OnceFlag,
+    pool: BufPool,
+}
+
+impl<'a, T: Transport + ?Sized> Run<'a, T> {
+    fn new(
+        cluster: &'a Cluster,
+        transport: &'a T,
+        layout: SliceLayout,
+        tag: (u64, u64),
+        cancel: &'a OnceFlag,
+        pool: &BufPool,
+    ) -> Self {
+        let pool = pool.clone();
+        Run {
+            cluster,
+            transport,
+            layout,
+            tag,
+            cancel,
+            pool,
         }
     }
-    let mut worst: Option<EcPipeError> = None;
-    for h in handles {
-        let outcome = match h.join() {
-            Ok(result) => result,
-            Err(_) => Err(execution_error("worker thread panicked")),
-        };
-        if let Err(e) = outcome {
-            if worst
-                .as_ref()
-                .is_none_or(|w| specificity(&e) > specificity(w))
-            {
-                worst = Some(e);
+
+    fn link(&self, src: NodeId, dst: NodeId) -> (SliceSender, SliceReceiver) {
+        self.transport.link(src, dst, PIPELINE_DEPTH)
+    }
+
+    fn helper(
+        &self,
+        source: Source,
+        coeffs: Option<Vec<Gf256>>,
+        upstream: Option<SliceReceiver>,
+        downstream: Vec<SliceSender>,
+    ) -> Box<Helper> {
+        let (layout, tag, pool) = (self.layout, self.tag, self.pool.clone());
+        Box::new(Helper::new(
+            source, coeffs, upstream, downstream, layout, tag, pool,
+        ))
+    }
+
+    fn block(&self, node: NodeId, block: BlockId) -> Source {
+        Source::Block(self.cluster.store(node).clone(), block)
+    }
+
+    /// Pipelining along `path` (§3.2, §4.4): each helper adds
+    /// `coeffs[r] * B_i` to row `r` of the upstream bundle, and the last one
+    /// delivers row `r` to `requestors[r]`.
+    fn pipeline(
+        &self,
+        path: &[(NodeId, BlockId, Vec<Gf256>)],
+        requestors: &[NodeId],
+    ) -> Result<Vec<Vec<u8>>> {
+        if path.is_empty() {
+            return Err(execution_error("repair path has no helpers"));
+        }
+        let mut outs = vec![vec![0u8; self.layout.block_size]; requestors.len()];
+        let mut stages: Vec<Box<dyn Stage + '_>> = Vec::with_capacity(path.len() + 1);
+        let (mut upstream, mut inputs) = (None, Vec::new());
+        for (i, (node, block, coeffs)) in path.iter().enumerate() {
+            let incoming = upstream.take();
+            let downstream = match path.get(i + 1) {
+                Some(&(next, ..)) => {
+                    let (tx, rx) = self.link(*node, next);
+                    upstream = Some(rx);
+                    vec![tx]
+                }
+                // The sink polls every delivery link, so none needs more
+                // than the pipeline depth.
+                None => (requestors.iter().enumerate())
+                    .map(|(row, &requestor)| {
+                        let (tx, rx) = self.link(*node, requestor);
+                        inputs.push(Input::new(rx, Fold::Copy, row, &self.layout));
+                        tx
+                    })
+                    .collect(),
+            };
+            let source = self.block(*node, *block);
+            stages.push(self.helper(source, Some(coeffs.clone()), incoming, downstream));
+        }
+        let targets = outs.iter_mut().map(Vec::as_mut_slice).collect();
+        stages.push(Box::new(Sink::new(inputs, targets, self.layout)));
+        drive(stages, self.cancel)?;
+        Ok(outs)
+    }
+
+    /// Conventional repair: every helper streams its block to the
+    /// requestor, which decodes.
+    fn conventional(&self, directive: &RepairDirective) -> Result<Vec<u8>> {
+        let mut out = vec![0u8; self.layout.block_size];
+        let streams = directive.path.iter().map(|&(node, block, coeff)| {
+            let fold = Fold::MulAdd(Gf256::new(coeff));
+            (self.block(node, block), node, directive.requestor, fold, 0)
+        });
+        self.gather(streams.collect(), vec![&mut out])?;
+        Ok(out)
+    }
+
+    /// Partial-parallel repair: every helper scales its block, then the
+    /// partials aggregate pairwise along a binary tree, one round after
+    /// another; the pairs of a round stream at once.
+    fn ppr(&self, directive: &RepairDirective) -> Result<Vec<u8>> {
+        let mut partials = HashMap::new();
+        for &(node, block, coeff) in &directive.path {
+            let local = self.cluster.store(node).get(block)?;
+            let mut partial = vec![0u8; local.len()];
+            gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
+            partials.insert(node, partial);
+        }
+        // The requestor starts with an all-zero partial.
+        partials.insert(directive.requestor, vec![0u8; self.layout.block_size]);
+        let helpers = directive.helper_nodes();
+        for round in repair::ppr::aggregation_rounds(&helpers, directive.requestor) {
+            let (mut streams, mut kept) = (Vec::new(), Vec::new());
+            for (sender, receiver) in round {
+                let mut take = |node| {
+                    let missing = || execution_error(format!("node {node} has no partial"));
+                    partials.remove(&node).ok_or_else(missing)
+                };
+                // The partial is frozen once; each slice is a view into it.
+                let sent = Source::Partial(Bytes::from(take(sender)?));
+                streams.push((sent, sender, receiver, Fold::Add, kept.len()));
+                kept.push((receiver, take(receiver)?));
             }
+            self.gather(streams, kept.iter_mut().map(|(_, p)| &mut p[..]).collect())?;
+            partials.extend(kept);
         }
+        partials
+            .remove(&directive.requestor)
+            .ok_or_else(|| execution_error("aggregation did not reach the requestor"))
     }
-    match worst {
-        Some(e) => Err(e),
-        None => Ok(()),
+
+    /// Streams each `(source, from, to, fold, out)` raw over a link
+    /// `from -> to` into a sink that folds it into `outs[out]`.
+    fn gather(
+        &self,
+        streams: Vec<(Source, NodeId, NodeId, Fold, usize)>,
+        outs: Vec<&mut [u8]>,
+    ) -> Result<()> {
+        let mut stages: Vec<Box<dyn Stage + '_>> = Vec::new();
+        let mut inputs = Vec::new();
+        for (source, from, to, fold, out) in streams {
+            let (tx, rx) = self.link(from, to);
+            stages.push(self.helper(source, None, None, vec![tx]));
+            inputs.push(Input::new(rx, fold, out, &self.layout));
+        }
+        stages.push(Box::new(Sink::new(inputs, outs, self.layout)));
+        drive(stages, self.cancel)
     }
 }
 
@@ -543,13 +342,21 @@ fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, Result<()>>>) -> Resu
 mod tests {
     use super::*;
     use crate::coordinator::SelectionPolicy;
-    use crate::transport::ChannelTransport;
-    use crate::{Cluster, Coordinator};
+    use crate::transport::{ChannelTransport, SliceMsg, WAIT_TICK};
+    use crate::{Coordinator, StoreBackend};
     use ecc::stripe::StripeId;
     use ecc::{ErasureCode, Lrc, ReedSolomon};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     const BLOCK: usize = 8192;
+
+    const STRATEGIES: [ExecStrategy; 4] = [
+        ExecStrategy::Conventional,
+        ExecStrategy::Ppr,
+        ExecStrategy::RepairPipelining,
+        ExecStrategy::BlockPipeline,
+    ];
 
     fn make_data(k: usize, seed: u64) -> Vec<Vec<u8>> {
         (0..k)
@@ -561,26 +368,46 @@ mod tests {
             .collect()
     }
 
-    fn setup(code: Arc<dyn ErasureCode>) -> (Cluster, Coordinator, Vec<Vec<u8>>, StripeId) {
+    fn setup_on(
+        backend: StoreBackend,
+        code: Arc<dyn ErasureCode>,
+    ) -> (Cluster, Coordinator, Vec<Vec<u8>>, StripeId) {
         let k = code.k();
-        let n = code.n();
-        let mut coordinator = Coordinator::new(code, ecc::slice::SliceLayout::new(BLOCK, 1024));
-        let cluster = Cluster::new(crate::StoreBackend::memory(n + 2)).unwrap();
+        let mut coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, 1024));
+        let cluster = Cluster::new(backend).unwrap();
         let data = make_data(k, 3);
         let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
         (cluster, coordinator, data, stripe)
     }
 
+    fn setup(code: Arc<dyn ErasureCode>) -> (Cluster, Coordinator, Vec<Vec<u8>>, StripeId) {
+        let nodes = code.n() + 2;
+        setup_on(StoreBackend::memory(nodes), code)
+    }
+
+    /// Erases block `lost` of the stripe and plans its repair to
+    /// `requestor`.
+    fn plan(
+        cluster: &Cluster,
+        coordinator: &mut Coordinator,
+        stripe: StripeId,
+        lost: usize,
+        requestor: NodeId,
+    ) -> RepairDirective {
+        cluster.erase_block(stripe, lost);
+        coordinator
+            .plan_single_repair(stripe, lost, requestor, &[], SelectionPolicy::CodeDefault)
+            .unwrap()
+    }
+
+    fn rs(n: usize, k: usize) -> Arc<dyn ErasureCode> {
+        Arc::new(ReedSolomon::new(n, k).unwrap())
+    }
+
     #[test]
     fn every_strategy_reconstructs_a_data_block() {
-        for strategy in [
-            ExecStrategy::Conventional,
-            ExecStrategy::Ppr,
-            ExecStrategy::RepairPipelining,
-            ExecStrategy::BlockPipeline,
-        ] {
-            let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-            let (cluster, mut coordinator, data, stripe) = setup(code);
+        for strategy in STRATEGIES {
+            let (cluster, mut coordinator, data, stripe) = setup(rs(14, 10));
             cluster.erase_block(stripe, 3);
             let repaired = cluster
                 .repair(&mut coordinator, stripe, 3, 15, strategy)
@@ -591,13 +418,8 @@ mod tests {
 
     #[test]
     fn every_strategy_reconstructs_a_parity_block() {
-        let code = Arc::new(ReedSolomon::new(9, 6).unwrap());
-        for strategy in [
-            ExecStrategy::Conventional,
-            ExecStrategy::Ppr,
-            ExecStrategy::RepairPipelining,
-            ExecStrategy::BlockPipeline,
-        ] {
+        let code = rs(9, 6);
+        for strategy in STRATEGIES {
             let (cluster, mut coordinator, data, stripe) = setup(code.clone());
             let expected = code.encode(&data).unwrap()[7].clone();
             cluster.erase_block(stripe, 7);
@@ -610,20 +432,11 @@ mod tests {
 
     #[test]
     fn rp_traffic_is_balanced_across_links() {
-        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-        let (cluster, mut coordinator, _data, stripe) = setup(code);
-        cluster.erase_block(stripe, 0);
-        let directive = coordinator
-            .plan_single_repair(stripe, 0, 15, &[], SelectionPolicy::CodeDefault)
-            .unwrap();
+        let (cluster, mut coordinator, _data, stripe) = setup(rs(14, 10));
+        let directive = plan(&cluster, &mut coordinator, stripe, 0, 15);
         let transport = ChannelTransport::new();
-        execute_single(
-            &directive,
-            &cluster,
-            &transport,
-            ExecStrategy::RepairPipelining,
-        )
-        .unwrap();
+        let rp = ExecStrategy::RepairPipelining;
+        execute_single(&directive, &cluster, &transport, rp).unwrap();
         // k links, each carrying exactly one block.
         assert_eq!(transport.links_used(), 10);
         assert_eq!(transport.total_bytes(), 10 * BLOCK as u64);
@@ -632,12 +445,8 @@ mod tests {
 
     #[test]
     fn conventional_traffic_funnels_into_the_requestor() {
-        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-        let (cluster, mut coordinator, _data, stripe) = setup(code);
-        cluster.erase_block(stripe, 0);
-        let directive = coordinator
-            .plan_single_repair(stripe, 0, 15, &[], SelectionPolicy::CodeDefault)
-            .unwrap();
+        let (cluster, mut coordinator, _data, stripe) = setup(rs(14, 10));
+        let directive = plan(&cluster, &mut coordinator, stripe, 0, 15);
         let transport = ChannelTransport::new();
         execute_single(&directive, &cluster, &transport, ExecStrategy::Conventional).unwrap();
         assert_eq!(transport.total_bytes(), 10 * BLOCK as u64);
@@ -651,94 +460,135 @@ mod tests {
     fn lrc_repair_reads_only_the_local_group() {
         let code: Arc<dyn ErasureCode> = Arc::new(Lrc::new(12, 2, 2).unwrap());
         let (cluster, mut coordinator, data, stripe) = setup(code);
-        cluster.erase_block(stripe, 4);
-        let directive = coordinator
-            .plan_single_repair(stripe, 4, 17, &[], SelectionPolicy::CodeDefault)
-            .unwrap();
+        let directive = plan(&cluster, &mut coordinator, stripe, 4, 17);
         assert_eq!(directive.path.len(), 6);
         let transport = ChannelTransport::new();
-        let repaired = execute_single(
-            &directive,
-            &cluster,
-            &transport,
-            ExecStrategy::RepairPipelining,
-        )
-        .unwrap();
+        let rp = ExecStrategy::RepairPipelining;
+        let repaired = execute_single(&directive, &cluster, &transport, rp).unwrap();
         assert_eq!(repaired, data[4]);
         assert_eq!(transport.total_bytes(), 6 * BLOCK as u64);
     }
 
     #[test]
     fn reordered_path_still_reconstructs() {
-        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(9, 6).unwrap());
-        let (cluster, mut coordinator, data, stripe) = setup(code);
-        cluster.erase_block(stripe, 2);
-        let directive = coordinator
-            .plan_single_repair(stripe, 2, 10, &[], SelectionPolicy::CodeDefault)
-            .unwrap();
+        let (cluster, mut coordinator, data, stripe) = setup(rs(9, 6));
+        let directive = plan(&cluster, &mut coordinator, stripe, 2, 10);
         let mut order = directive.helper_nodes();
         order.reverse();
         let directive = directive.with_path_order(&order);
         let transport = ChannelTransport::new();
-        let repaired = execute_single(
-            &directive,
-            &cluster,
-            &transport,
-            ExecStrategy::RepairPipelining,
-        )
-        .unwrap();
+        let rp = ExecStrategy::RepairPipelining;
+        let repaired = execute_single(&directive, &cluster, &transport, rp).unwrap();
         assert_eq!(repaired, data[2]);
     }
 
     #[test]
     fn missing_helper_block_surfaces_as_error() {
-        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
-        let (cluster, mut coordinator, _data, stripe) = setup(code);
-        cluster.erase_block(stripe, 0);
+        let (cluster, mut coordinator, _data, stripe) = setup(rs(6, 4));
         // Also erase a block that will be used as a helper, *after* planning.
-        let directive = coordinator
-            .plan_single_repair(stripe, 0, 7, &[], SelectionPolicy::CodeDefault)
-            .unwrap();
-        let helper_index = directive.plan.sources[0].block_index;
-        cluster.erase_block(stripe, helper_index);
+        let directive = plan(&cluster, &mut coordinator, stripe, 0, 7);
+        cluster.erase_block(stripe, directive.plan.sources[0].block_index);
         let transport = ChannelTransport::new();
-        let result = execute_single(
-            &directive,
-            &cluster,
-            &transport,
-            ExecStrategy::RepairPipelining,
-        );
-        assert!(result.is_err());
+        let rp = ExecStrategy::RepairPipelining;
+        let result = execute_single(&directive, &cluster, &transport, rp);
+        assert!(matches!(result, Err(EcPipeError::BlockNotFound { .. })));
+        // Past the pre-flight check, the helper's own first read fails the
+        // repair with the same error instead of stalling it.
+        let (layout, never) = (directive.layout, OnceFlag::new());
+        let pool = BufPool::new();
+        let result = run_pipeline(&directive, &cluster, &transport, layout, &never, &pool);
+        assert!(matches!(result, Err(EcPipeError::BlockNotFound { .. })));
+    }
+
+    #[test]
+    fn corrupt_helper_block_surfaces_as_corrupt_block() {
+        let backend = StoreBackend::memory_checksummed(11);
+        let (cluster, mut coordinator, _data, stripe) = setup_on(backend, rs(9, 6));
+        let directive = plan(&cluster, &mut coordinator, stripe, 0, 10);
+        let multi = coordinator.plan_multi_repair(stripe, &[0], &[10]).unwrap();
+        // A helper block of both plans rots after planning: its range read
+        // fails mid-stream, and every strategy reports the corruption, not
+        // the downstream echo of the aborted stream.
+        let rotten = directive.path[2].1;
+        assert!(multi.path.iter().any(|&(_, block)| block == rotten));
+        cluster
+            .corrupt_block(stripe, rotten.index, 5 * 1024)
+            .unwrap();
+        let transport = ChannelTransport::new();
+        for strategy in STRATEGIES {
+            let result = execute_single(&directive, &cluster, &transport, strategy);
+            let corrupt = matches!(result, Err(EcPipeError::CorruptBlock { .. }));
+            assert!(corrupt, "{strategy}: {result:?}");
+        }
+        let result = execute_multi(&multi, &cluster, &transport);
+        let corrupt = matches!(result, Err(EcPipeError::CorruptBlock { .. }));
+        assert!(corrupt, "multi-block: {result:?}");
     }
 
     #[test]
     fn cancelled_execution_fails_without_storing_anything() {
-        for strategy in [
-            ExecStrategy::Conventional,
-            ExecStrategy::Ppr,
-            ExecStrategy::RepairPipelining,
-            ExecStrategy::BlockPipeline,
-        ] {
-            let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
-            let (cluster, mut coordinator, _data, stripe) = setup(code);
-            cluster.erase_block(stripe, 1);
-            let directive = coordinator
-                .plan_single_repair(stripe, 1, 7, &[], SelectionPolicy::CodeDefault)
-                .unwrap();
-            let transport = ChannelTransport::new();
+        for strategy in STRATEGIES {
+            let (cluster, mut coordinator, _data, stripe) = setup(rs(6, 4));
+            let directive = plan(&cluster, &mut coordinator, stripe, 1, 7);
+            // 8 KiB per link at 20 KB/s: every strategy streams for 0.4 s+.
+            let transport = ChannelTransport::with_rate_limit(20_000);
             let cancel = OnceFlag::new();
-            cancel.set();
-            let result =
-                execute_single_cancellable(&directive, &cluster, &transport, strategy, &cancel);
+            let (result, cancelled_at) = std::thread::scope(|scope| {
+                let canceller = scope.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(60));
+                    cancel.set();
+                    Instant::now()
+                });
+                let result =
+                    execute_single_cancellable(&directive, &cluster, &transport, strategy, &cancel);
+                (result, canceller.join().unwrap())
+            });
             assert!(
                 matches!(result, Err(EcPipeError::Execution { .. })),
                 "strategy {strategy:?} must fail once cancelled"
+            );
+            let late = cancelled_at.elapsed();
+            assert!(
+                late < 2 * WAIT_TICK,
+                "{strategy} ran on {late:?} past the cancel"
             );
             assert!(
                 !cluster.store(7).contains(ecc::stripe::BlockId::new(0, 1)),
                 "a cancelled repair must leave no partial block"
             );
         }
+    }
+
+    #[test]
+    fn a_ten_helper_repair_starts_at_most_lanes_minus_one_threads() {
+        use driver::{cores, InFlight, IN_FLIGHT, LAST_DRIVE};
+        use std::sync::atomic::Ordering;
+
+        let (cluster, mut coordinator, data, stripe) = setup(rs(14, 10));
+        let directive = plan(&cluster, &mut coordinator, stripe, 0, 15);
+        let (transport, rp) = (ChannelTransport::new(), ExecStrategy::RepairPipelining);
+        let repaired = execute_single(&directive, &cluster, &transport, rp).unwrap();
+        assert_eq!(repaired, data[0]);
+        let (lanes, spawned) = LAST_DRIVE.with(|last| last.get());
+        assert!((1..=cores().min(10)).contains(&lanes), "{lanes} lanes");
+        assert_eq!(
+            spawned,
+            lanes - 1,
+            "every lane but the caller's is a thread"
+        );
+
+        // With every core taken by executions in flight, a repair runs on
+        // its caller's thread alone.
+        let busy: Vec<_> = (0..cores())
+            .map(|_| {
+                IN_FLIGHT.fetch_add(1, Ordering::Relaxed);
+                InFlight
+            })
+            .collect();
+        let repaired = execute_single(&directive, &cluster, &transport, rp).unwrap();
+        drop(busy);
+        assert_eq!(repaired, data[0]);
+        assert_eq!(LAST_DRIVE.with(|last| last.get()), (1, 0));
     }
 
     #[test]

@@ -138,8 +138,8 @@ lock_class!(
 );
 
 lock_class!(
-    /// Per-link queue/credit state shared by the socket transports; senders
-    /// and receivers block on its condvars.
+    /// Per-link queue/credit state shared by the socket transports; the
+    /// halves' wakers are woken after it is released.
     pub FRAMED_LINK_STATE = ("framed.link_state", rank = 60)
 );
 
@@ -190,4 +190,12 @@ lock_class!(
 lock_class!(
     /// Token-bucket rate-limiter state. Leaf; taken with nothing held.
     pub TRANSPORT_TOKEN_BUCKET = ("transport.token_bucket", rank = 80)
+);
+
+lock_class!(
+    /// A repair lane's (or a blocking link call's)
+    /// [`Waker`](crate::transport::Waker) state, and the per-link slots
+    /// naming each half's waker. Leaf: nothing is acquired under it, and a
+    /// slot is released before the waker it names is woken.
+    pub TRANSPORT_WAKER = ("transport.waker", rank = 82)
 );

@@ -15,8 +15,22 @@
 //!   loop even on a single-core host;
 //! * [`TcpTransport`] — real localhost TCP sockets with a length-prefixed
 //!   wire format, connection reuse and the same optional token-bucket
-//!   bandwidth throttle, so the timing claims of §3.2 can be measured on
-//!   sockets rather than only in `simnet`.
+//!   bandwidth throttle, one thread per listener and per connection, so
+//!   the timing claims of §3.2 can be measured on sockets rather than only
+//!   in `simnet`;
+//! * [`ReactorTransport`] — the same wire format over nonblocking sockets
+//!   multiplexed on a fixed pool of epoll threads, so thread counts do not
+//!   grow with nodes or connections.
+//!
+//! Every link is non-blocking at heart: [`SliceSender::try_send`] hands a
+//! slice back when the link has no credit (or when its token bucket holds
+//! it until a given instant), and [`SliceReceiver::try_recv`] reports
+//! [`TryRecv::Empty`] instead of waiting. Each half signals its peer's
+//! [`Waker`] when it changes what the peer can do — data arrived, credit
+//! returned, the other end closed — which is what lets one thread step many
+//! pipeline stages ([`exec`](crate::exec)). The blocking
+//! [`send`](SliceSender::send) and [`recv`](SliceReceiver::recv) are those
+//! same operations plus a wait on the half's waker.
 //!
 //! Every backend keeps per-link byte counters ([`LinkStats`]) so tests can
 //! check the traffic-distribution claims of the paper (e.g. repair
@@ -30,8 +44,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
-use ecpipe_sync::Mutex;
+use crossbeam::channel::{self, bounded, Receiver, Sender};
+use ecpipe_sync::{Condvar, Mutex};
 
 use simnet::{NodeId, Topology};
 
@@ -45,19 +59,36 @@ mod wire;
 pub use reactor::ReactorTransport;
 pub use tcp::TcpTransport;
 
+/// The longest any link wait sleeps before re-checking its state; a
+/// backstop so a lost wakeup degrades to latency rather than a deadlock,
+/// and the bound on how late a waiting repair notices cancellation.
+pub(crate) const WAIT_TICK: Duration = Duration::from_millis(50);
+
 /// The mutable half of a [`TokenBucket`]: the fill level plus the rate,
 /// which can change at runtime ([`TokenBucket::set_rate`]) to model a link
 /// whose capacity degrades mid-stream.
 struct BucketState {
+    /// Banked bytes; negative while reservations are still being paid off.
     tokens: f64,
     last: Instant,
     rate: f64,
     burst: f64,
 }
 
+impl BucketState {
+    /// Banks the bytes the line rate earned since the last update, up to
+    /// the burst.
+    fn refill(&mut self, now: Instant) {
+        let elapsed = now.duration_since(self.last).as_secs_f64();
+        self.tokens = (self.tokens + elapsed * self.rate).min(self.burst);
+        self.last = now;
+    }
+}
+
 /// A token bucket limiting one link to `rate` bytes per second. Shared by
-/// both backends: it shapes real socket writes in [`TcpTransport`] and
-/// simulates constrained links in [`ChannelTransport`].
+/// every backend: it shapes real socket writes in [`TcpTransport`] and
+/// [`ReactorTransport`] and simulates constrained links in
+/// [`ChannelTransport`].
 pub(crate) struct TokenBucket {
     /// Lock class: `transport.token_bucket`
     /// ([`lock_order::TRANSPORT_TOKEN_BUCKET`]).
@@ -92,36 +123,107 @@ impl TokenBucket {
     }
 
     /// Changes the bucket's rate in place, so a link already carrying a
-    /// repair stream slows down (or speeds up) mid-flight. Banked tokens are
-    /// clamped to the new burst, so a rate drop takes effect immediately.
+    /// repair stream slows down (or speeds up) mid-flight. Time already
+    /// elapsed is credited at the old rate; banked tokens are clamped to
+    /// the new burst, so a rate drop takes effect immediately.
     pub(crate) fn set_rate(&self, rate: u64) {
         let rate = rate.max(1) as f64;
         let mut state = self.state.lock();
+        state.refill(Instant::now());
         state.rate = rate;
         state.burst = Self::burst_for(rate);
         state.tokens = state.tokens.min(state.burst);
     }
 
-    pub(crate) fn take(&self, bytes: usize) {
-        let mut need = bytes as f64;
-        while need > 0.0 {
-            let wait;
-            {
-                let mut state = self.state.lock();
-                let now = Instant::now();
-                let elapsed = now.duration_since(state.last).as_secs_f64();
-                state.tokens = (state.tokens + elapsed * state.rate).min(state.burst);
-                state.last = now;
-                let grab = need.min(state.tokens);
-                state.tokens -= grab;
-                need -= grab;
-                if need <= 0.0 {
-                    return;
-                }
-                wait = Duration::from_secs_f64(need.min(state.burst) / state.rate);
-            }
-            std::thread::sleep(wait);
+    /// Reserves `bytes` of line rate and returns the instant they may go.
+    /// The debit is immediate and may leave the bucket negative — one slice
+    /// can exceed the burst — so later reservations queue behind it at the
+    /// line rate, exactly as if the caller had slept until the returned
+    /// instant inside the bucket.
+    pub(crate) fn try_take(&self, bytes: usize) -> Instant {
+        let mut state = self.state.lock();
+        let now = Instant::now();
+        state.refill(now);
+        state.tokens -= bytes as f64;
+        if state.tokens >= 0.0 {
+            now
+        } else {
+            now + Duration::from_secs_f64(-state.tokens / state.rate)
         }
+    }
+
+    /// Reserves `bytes` and sleeps until they may go — pacing for a loop
+    /// that has nothing else to do meanwhile (the scrubber).
+    pub(crate) fn take(&self, bytes: usize) {
+        let ready = self.try_take(bytes);
+        std::thread::sleep(ready.saturating_duration_since(Instant::now()));
+    }
+}
+
+/// An instant one link half records and clears without a lock: each half
+/// has a single user at a time, so a relaxed atomic is enough.
+struct Stamp {
+    base: Instant,
+    /// Nanoseconds after `base` plus one; zero while unset.
+    nanos: AtomicU64,
+}
+
+impl Stamp {
+    fn new() -> Self {
+        Stamp {
+            base: Instant::now(),
+            nanos: AtomicU64::new(0),
+        }
+    }
+
+    fn get(&self) -> Option<Instant> {
+        match self.nanos.load(Ordering::Relaxed) {
+            0 => None,
+            n => Some(self.base + Duration::from_nanos(n - 1)),
+        }
+    }
+
+    fn set(&self, at: Instant) {
+        let nanos = at.saturating_duration_since(self.base).as_nanos() as u64;
+        self.nanos.store(nanos + 1, Ordering::Relaxed);
+    }
+
+    fn clear(&self) {
+        self.nanos.store(0, Ordering::Relaxed);
+    }
+}
+
+/// One link's pacing: the bucket it draws from (its own, or its node
+/// pair's) plus the reservation of the slice it is holding back.
+pub(crate) struct Pacer {
+    bucket: Arc<TokenBucket>,
+    /// When the held slice may go; set by its first [`hold`](Self::hold).
+    ready: Stamp,
+}
+
+impl Pacer {
+    fn new(bucket: Arc<TokenBucket>) -> Self {
+        Pacer {
+            bucket,
+            ready: Stamp::new(),
+        }
+    }
+
+    /// Returns the instant the slice being offered may go, or `None` if it
+    /// may go now. The first call for a slice reserves its `bytes`; later
+    /// calls (the slice was handed back) reuse that reservation.
+    pub(crate) fn hold(&self, bytes: usize) -> Option<Instant> {
+        let ready = self.ready.get().unwrap_or_else(|| {
+            let at = self.bucket.try_take(bytes);
+            self.ready.set(at);
+            at
+        });
+        (ready > Instant::now()).then_some(ready)
+    }
+
+    /// The held slice was accepted; the next one reserves afresh.
+    pub(crate) fn release(&self) {
+        self.ready.clear();
     }
 }
 
@@ -168,8 +270,13 @@ impl Shaper {
         Shaper::with_mode(ShaperMode::Topology(topology))
     }
 
+    /// The pacer of a new link over `src -> dst`, if the link is shaped.
+    pub(crate) fn pacer(&self, src: NodeId, dst: NodeId) -> Option<Pacer> {
+        self.bucket(src, dst).map(Pacer::new)
+    }
+
     /// The bucket a new link over `src -> dst` should draw from, if any.
-    pub(crate) fn bucket(&self, src: NodeId, dst: NodeId) -> Option<Arc<TokenBucket>> {
+    fn bucket(&self, src: NodeId, dst: NodeId) -> Option<Arc<TokenBucket>> {
         match &self.mode {
             ShaperMode::Off => None,
             // A fresh bucket per link keeps the historical per-link shaping
@@ -289,9 +396,12 @@ impl LinkStats {
         self.messages.load(Ordering::Relaxed)
     }
 
-    /// Total nanoseconds senders spent inside `send` on this link — queueing,
-    /// token-bucket pacing and socket writes included. Bytes over busy time
-    /// is the link's measured throughput, which is what
+    /// Total nanoseconds slices spent between being offered to this link
+    /// and being accepted by it — waits for credit, token-bucket pacing and
+    /// socket writes included, whether the sender blocked in
+    /// [`send`](SliceSender::send) or kept re-offering through
+    /// [`try_send`](SliceSender::try_send). Bytes over busy time is the
+    /// link's measured throughput, which is what
     /// [`LinkTelemetry`](crate::telemetry::LinkTelemetry) folds into its
     /// EWMA estimates.
     pub fn busy_nanos(&self) -> u64 {
@@ -307,59 +417,284 @@ pub struct LinkSnapshot {
     pub bytes: u64,
     /// Total messages (slices) sent over the link.
     pub messages: u64,
-    /// Total nanoseconds senders spent inside `send` on the link.
+    /// Total nanoseconds slices waited from offer to acceptance on the
+    /// link ([`LinkStats::busy_nanos`]).
     pub busy_nanos: u64,
 }
 
-/// The backend half of a [`SliceSender`]: moves one message to the peer.
-trait SliceTx: Send + Sync {
-    fn send(&self, msg: SliceMsg) -> Result<(), TransportError>;
+/// Wakes a thread that is waiting for any of several links to change.
+///
+/// A waker is attached to link halves ([`SliceSender::set_waker`],
+/// [`SliceReceiver::set_waker`]); each half's peer wakes it when something
+/// the half waits for happens: a slice arrived, a credit returned, the
+/// other end closed. Wakes are sticky — one that lands while nobody waits
+/// makes the next [`wait_until`](Waker::wait_until) return at once — so a
+/// loop that polls its links and then waits never misses a change.
+#[derive(Clone)]
+pub struct Waker {
+    inner: Arc<WakerInner>,
 }
 
-/// The backend half of a [`SliceReceiver`]: yields the next message.
+struct WakerInner {
+    /// Lock class: `transport.waker` ([`lock_order::TRANSPORT_WAKER`]).
+    state: Mutex<WakeState>,
+    wakened: Condvar,
+}
+
+#[derive(Default)]
+struct WakeState {
+    woken: bool,
+    /// Whether a thread waits on the condvar. A lane wakes its own waker on
+    /// every slice hop between its stages; notifying only a sleeper keeps
+    /// those wakes off the futex.
+    sleeping: bool,
+}
+
+impl Waker {
+    /// Creates a waker no link points at yet.
+    pub fn new() -> Self {
+        Waker {
+            inner: Arc::new(WakerInner {
+                state: Mutex::new(&lock_order::TRANSPORT_WAKER, WakeState::default()),
+                wakened: Condvar::new(),
+            }),
+        }
+    }
+
+    /// Wakes the waiting thread, or the next one to wait.
+    pub fn wake(&self) {
+        let mut state = self.inner.state.lock();
+        state.woken = true;
+        if state.sleeping {
+            self.inner.wakened.notify_one();
+        }
+    }
+
+    /// Sleeps until woken or until `deadline`, whichever comes first, and
+    /// consumes the wake.
+    pub fn wait_until(&self, deadline: Instant) {
+        let mut state = self.inner.state.lock();
+        if !state.woken {
+            state.sleeping = true;
+            let tick = deadline.saturating_duration_since(Instant::now());
+            state = self
+                .inner
+                .wakened
+                .wait_while_tick(state, tick, |s| !s.woken && Instant::now() < deadline);
+            state.sleeping = false;
+        }
+        state.woken = false;
+    }
+}
+
+impl Default for Waker {
+    fn default() -> Self {
+        Waker::new()
+    }
+}
+
+impl fmt::Debug for Waker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Waker").finish_non_exhaustive()
+    }
+}
+
+/// The wakers of one link's two halves, shared by both halves and the
+/// backend: each side wakes the other's. A half starts with a waker of its
+/// own (what its blocking calls wait on) until a driver attaches one shared
+/// by many links.
+pub(crate) struct LinkWakers {
+    /// Lock class: `transport.waker` ([`lock_order::TRANSPORT_WAKER`]);
+    /// never held while waking.
+    tx: Mutex<Waker>,
+    /// Lock class: `transport.waker` ([`lock_order::TRANSPORT_WAKER`]);
+    /// never held while waking.
+    rx: Mutex<Waker>,
+}
+
+impl LinkWakers {
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(LinkWakers {
+            tx: Mutex::new(&lock_order::TRANSPORT_WAKER, Waker::new()),
+            rx: Mutex::new(&lock_order::TRANSPORT_WAKER, Waker::new()),
+        })
+    }
+
+    /// Wakes the sender: a credit returned, or the receiver is gone.
+    pub(crate) fn wake_tx(&self) {
+        let waker = self.tx.lock().clone();
+        waker.wake();
+    }
+
+    /// Wakes the receiver: a slice arrived, or the stream ended.
+    pub(crate) fn wake_rx(&self) {
+        let waker = self.rx.lock().clone();
+        waker.wake();
+    }
+}
+
+/// Why [`SliceSender::try_send`] did not take a slice. The slice comes back
+/// with every variant but `Failed`.
+#[derive(Debug)]
+pub enum TrySendError {
+    /// The link has no credit; the sender's waker fires when one returns.
+    Full(SliceMsg),
+    /// The link's token bucket holds the slice until the instant; the
+    /// reservation is kept, so offering it again then sends it.
+    Paced(SliceMsg, Instant),
+    /// The link failed; see [`SliceSender::send`].
+    Failed(TransportError),
+}
+
+impl From<TransportError> for TrySendError {
+    fn from(e: TransportError) -> Self {
+        TrySendError::Failed(e)
+    }
+}
+
+/// What [`SliceReceiver::try_recv`] found.
+#[derive(Debug)]
+pub enum TryRecv {
+    /// The next slice.
+    Msg(SliceMsg),
+    /// Nothing yet; the receiver's waker fires when a slice arrives or the
+    /// stream ends.
+    Empty,
+    /// The sender is gone and every slice it sent has been received.
+    Closed,
+}
+
+/// The backend half of a [`SliceSender`]: offers one message to the peer
+/// without waiting.
+trait SliceTx: Send + Sync {
+    fn try_send(&self, msg: SliceMsg) -> Result<(), TrySendError>;
+}
+
+/// The backend half of a [`SliceReceiver`]: takes the next message if one
+/// has arrived.
 trait SliceRx: Send + Sync {
-    fn recv(&self) -> Option<SliceMsg>;
+    fn try_recv(&self) -> TryRecv;
 }
 
 /// The sending half of a link; counts traffic as it sends.
 pub struct SliceSender {
     inner: Box<dyn SliceTx>,
     stats: Arc<LinkStats>,
+    wakers: Arc<LinkWakers>,
+    /// When the slice being offered was first offered (busy-time start).
+    offered: Stamp,
 }
 
 impl SliceSender {
-    /// Sends one slice, blocking if the link's buffer is full.
+    fn new(inner: Box<dyn SliceTx>, stats: Arc<LinkStats>, wakers: Arc<LinkWakers>) -> Self {
+        SliceSender {
+            inner,
+            stats,
+            wakers,
+            offered: Stamp::new(),
+        }
+    }
+
+    /// Offers one slice without waiting: the link takes it, or hands it back
+    /// as [`TrySendError::Full`] (no credit) or [`TrySendError::Paced`]
+    /// (the token bucket releases it at the given instant).
+    ///
+    /// The time from a slice's first offer to its acceptance counts as the
+    /// link's busy time ([`LinkStats::busy_nanos`]), so re-offering a
+    /// handed-back slice charges its whole wait.
+    pub fn try_send(&self, msg: SliceMsg) -> Result<(), TrySendError> {
+        let bytes = msg.data.len() as u64;
+        let offered = self.offered.get().unwrap_or_else(|| {
+            let now = Instant::now();
+            self.offered.set(now);
+            now
+        });
+        let result = self.inner.try_send(msg);
+        match &result {
+            Err(TrySendError::Full(_) | TrySendError::Paced(..)) => return result,
+            Err(TrySendError::Failed(_)) => {}
+            Ok(()) => {
+                // Count only traffic the link actually accepted, so failed
+                // sends don't inflate the byte accounting the tests assert
+                // on.
+                self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
+                self.stats.messages.fetch_add(1, Ordering::Relaxed);
+                self.stats
+                    .busy_nanos
+                    .fetch_add(offered.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
+        }
+        self.offered.clear();
+        result
+    }
+
+    /// Sends one slice, waiting while the link has no credit or its token
+    /// bucket holds the slice back.
     ///
     /// Fails with [`TransportError::Disconnected`] once the receiving end has
     /// been dropped (a dead helper must fail the repair rather than silently
     /// truncate it), or [`TransportError::Io`] on a socket failure.
-    pub fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
-        let bytes = msg.data.len() as u64;
-        let started = Instant::now();
-        self.inner.send(msg)?;
-        // Count only traffic the link actually accepted, so failed sends
-        // don't inflate the byte accounting the tests assert on. The send
-        // duration (pacing, backpressure, socket writes) is accumulated
-        // alongside: bytes over busy time is the link's measured throughput.
-        self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .busy_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(())
+    pub fn send(&self, mut msg: SliceMsg) -> Result<(), TransportError> {
+        loop {
+            let deadline = match self.try_send(msg) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Failed(e)) => return Err(e),
+                Err(TrySendError::Full(back)) => {
+                    msg = back;
+                    Instant::now() + WAIT_TICK
+                }
+                Err(TrySendError::Paced(back, until)) => {
+                    msg = back;
+                    until
+                }
+            };
+            let waker = self.wakers.tx.lock().clone();
+            waker.wait_until(deadline);
+        }
+    }
+
+    /// Points this half at `waker`: the receiver wakes it when a credit
+    /// returns or when the receiver goes away.
+    pub fn set_waker(&self, waker: &Waker) {
+        *self.wakers.tx.lock() = waker.clone();
     }
 }
 
 /// The receiving half of a link.
 pub struct SliceReceiver {
     inner: Box<dyn SliceRx>,
+    wakers: Arc<LinkWakers>,
 }
 
 impl SliceReceiver {
+    fn new(inner: Box<dyn SliceRx>, wakers: Arc<LinkWakers>) -> Self {
+        SliceReceiver { inner, wakers }
+    }
+
+    /// Takes the next slice if one has arrived, without waiting.
+    pub fn try_recv(&self) -> TryRecv {
+        self.inner.try_recv()
+    }
+
     /// Receives the next slice, or `None` once the sender is dropped and the
     /// link is drained.
     pub fn recv(&self) -> Option<SliceMsg> {
-        self.inner.recv()
+        loop {
+            match self.try_recv() {
+                TryRecv::Msg(msg) => return Some(msg),
+                TryRecv::Closed => return None,
+                TryRecv::Empty => {
+                    let waker = self.wakers.rx.lock().clone();
+                    waker.wait_until(Instant::now() + WAIT_TICK);
+                }
+            }
+        }
+    }
+
+    /// Points this half at `waker`: the sender wakes it when a slice
+    /// arrives or the stream ends.
+    pub fn set_waker(&self, waker: &Waker) {
+        *self.wakers.rx.lock() = waker.clone();
     }
 }
 
@@ -441,7 +776,8 @@ impl StatsRegistry {
 ///
 /// The executors in [`crate::exec`] are generic over this trait, so the same
 /// repair strategies run unchanged over in-process channels
-/// ([`ChannelTransport`]) or localhost TCP sockets ([`TcpTransport`]).
+/// ([`ChannelTransport`]) or localhost TCP sockets ([`TcpTransport`],
+/// [`ReactorTransport`]).
 ///
 /// ```
 /// use bytes::Bytes;
@@ -463,7 +799,8 @@ impl StatsRegistry {
 pub trait Transport: Send + Sync {
     /// Opens a bounded link from `src` to `dst`. The capacity is the number
     /// of slices that may be buffered in flight (the pipeline depth between
-    /// two stages); senders block once it is reached.
+    /// two stages); once it is reached, `try_send` hands slices back and
+    /// `send` waits.
     fn link(&self, src: NodeId, dst: NodeId, capacity: usize) -> (SliceSender, SliceReceiver);
 
     /// The backend's traffic accounting.
@@ -491,28 +828,69 @@ pub trait Transport: Send + Sync {
 }
 
 struct ChannelTx {
-    inner: Sender<SliceMsg>,
-    bucket: Option<Arc<TokenBucket>>,
+    /// Taken on drop, so the receiver is woken after the channel closes.
+    inner: Option<Sender<SliceMsg>>,
+    pacer: Option<Pacer>,
+    wakers: Arc<LinkWakers>,
 }
 
 impl SliceTx for ChannelTx {
-    fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
-        if let Some(bucket) = &self.bucket {
-            bucket.take(msg.data.len());
+    fn try_send(&self, msg: SliceMsg) -> Result<(), TrySendError> {
+        let Some(inner) = &self.inner else {
+            return Err(TransportError::Disconnected.into());
+        };
+        // Pacing first, then capacity: a throttled slice pays the line rate
+        // before it waits for room downstream.
+        if let Some(until) = self.pacer.as_ref().and_then(|p| p.hold(msg.data.len())) {
+            return Err(TrySendError::Paced(msg, until));
         }
-        self.inner
-            .send(msg)
-            .map_err(|_| TransportError::Disconnected)
+        match inner.try_send(msg) {
+            Ok(()) => {
+                if let Some(pacer) = &self.pacer {
+                    pacer.release();
+                }
+                self.wakers.wake_rx();
+                Ok(())
+            }
+            Err(channel::TrySendError::Full(msg)) => Err(TrySendError::Full(msg)),
+            Err(channel::TrySendError::Disconnected(_)) => Err(TransportError::Disconnected.into()),
+        }
+    }
+}
+
+impl Drop for ChannelTx {
+    fn drop(&mut self) {
+        drop(self.inner.take());
+        self.wakers.wake_rx();
     }
 }
 
 struct ChannelRx {
-    inner: Receiver<SliceMsg>,
+    /// Taken on drop, so the sender is woken after the channel closes.
+    inner: Option<Receiver<SliceMsg>>,
+    wakers: Arc<LinkWakers>,
 }
 
 impl SliceRx for ChannelRx {
-    fn recv(&self) -> Option<SliceMsg> {
-        self.inner.recv().ok()
+    fn try_recv(&self) -> TryRecv {
+        let Some(inner) = &self.inner else {
+            return TryRecv::Closed;
+        };
+        match inner.try_recv() {
+            Ok(msg) => {
+                self.wakers.wake_tx();
+                TryRecv::Msg(msg)
+            }
+            Err(channel::TryRecvError::Empty) => TryRecv::Empty,
+            Err(channel::TryRecvError::Disconnected) => TryRecv::Closed,
+        }
+    }
+}
+
+impl Drop for ChannelRx {
+    fn drop(&mut self) {
+        drop(self.inner.take());
+        self.wakers.wake_tx();
     }
 }
 
@@ -566,15 +944,19 @@ impl Transport for ChannelTransport {
     fn link(&self, src: NodeId, dst: NodeId, capacity: usize) -> (SliceSender, SliceReceiver) {
         let stats = self.stats.register(src, dst);
         let (tx, rx) = bounded(capacity.max(1));
-        let bucket = self.shaper.bucket(src, dst);
+        let wakers = LinkWakers::new();
+        let tx = ChannelTx {
+            inner: Some(tx),
+            pacer: self.shaper.pacer(src, dst),
+            wakers: wakers.clone(),
+        };
+        let rx = ChannelRx {
+            inner: Some(rx),
+            wakers: wakers.clone(),
+        };
         (
-            SliceSender {
-                inner: Box::new(ChannelTx { inner: tx, bucket }),
-                stats,
-            },
-            SliceReceiver {
-                inner: Box::new(ChannelRx { inner: rx }),
-            },
+            SliceSender::new(Box::new(tx), stats, wakers.clone()),
+            SliceReceiver::new(Box::new(rx), wakers),
         )
     }
 
@@ -583,8 +965,8 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// A backend chosen at runtime: either in-process channels or localhost TCP
-/// behind one concrete type, so runtime handles like
+/// A backend chosen at runtime: in-process channels or one of the two
+/// localhost socket backends behind one concrete type, so runtime handles like
 /// [`EcPipe`](crate::EcPipe) can own "some transport" without being generic
 /// over it.
 pub enum AnyTransport {
@@ -717,6 +1099,27 @@ mod tests {
     }
 
     #[test]
+    fn token_bucket_reservations_queue_at_the_line_rate() {
+        let bucket = TokenBucket::new(1_000_000); // 1 MB/s
+        let start = Instant::now();
+        // Each 32 KiB reservation exceeds the 2 KiB burst; the second one
+        // starts where the first one's debt ends.
+        let first = bucket.try_take(32 * 1024);
+        let second = bucket.try_take(32 * 1024);
+        let ms = |at: Instant| at.duration_since(start).as_secs_f64() * 1e3;
+        assert!(
+            (30.0..40.0).contains(&ms(first)),
+            "first at {} ms",
+            ms(first)
+        );
+        assert!(
+            (63.0..75.0).contains(&ms(second)),
+            "second at {} ms",
+            ms(second)
+        );
+    }
+
+    #[test]
     fn throttled_channel_link_paces_traffic() {
         let transport = ChannelTransport::with_rate_limit(1_000_000);
         let (tx, rx) = transport.link(0, 1, 64);
@@ -824,6 +1227,26 @@ mod tests {
         assert_eq!(snap.len(), 1);
         let registered = transport.stats().register(0, 1);
         assert!(registered.busy_nanos() > 0);
+    }
+
+    #[test]
+    fn busy_time_runs_from_first_offer_to_acceptance() {
+        let transport = ChannelTransport::new();
+        let (tx, rx) = transport.link(0, 1, 1);
+        tx.try_send(SliceMsg::new(0, Bytes::from_static(b"a")))
+            .unwrap();
+        let Err(TrySendError::Full(back)) = tx.try_send(SliceMsg::new(1, Bytes::from_static(b"b")))
+        else {
+            panic!("a full link hands the slice back");
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(matches!(rx.try_recv(), TryRecv::Msg(_)));
+        tx.try_send(back).unwrap();
+        // The handed-back slice waited ~30 ms for its credit; that wait is
+        // the link's busy time, not just the final call.
+        let busy = transport.stats().snapshot()[&(0, 1)].busy_nanos;
+        assert!(busy >= 30_000_000, "busy {busy} ns");
+        assert_eq!(transport.link_bytes(0, 1), 2);
     }
 
     #[test]

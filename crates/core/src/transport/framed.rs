@@ -4,8 +4,9 @@
 //! [`ReactorTransport`](super::ReactorTransport) multiplex many logical
 //! links over one connection per directed node pair, and both enforce a
 //! link's `capacity` with sender-side credits: a sender consumes one credit
-//! per slice and blocks at zero; the receiver returns a credit each time it
-//! pops a slice. Credits are process-local control state (these backends
+//! per slice and is handed its slice back at zero; the receiver returns a
+//! credit each time it pops a slice, waking the sender's
+//! [`Waker`](super::Waker). Credits are process-local control state (these backends
 //! run all nodes in one process over localhost); the data plane — every
 //! slice payload — always crosses a real socket. The per-link queue/credit
 //! state ([`LinkState`]) and the registry tying link ids to their carrying
@@ -15,26 +16,20 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
-use ecpipe_sync::{Condvar, Mutex};
+use ecpipe_sync::Mutex;
 
 use crate::lock_order;
 
 use super::wire::{Frame, OP_DATA, OP_EOS};
-use super::{SliceMsg, SliceRx};
-
-/// How long blocked senders/receivers sleep between re-checks; a backstop so
-/// a lost wakeup degrades to latency rather than a deadlock.
-pub(super) const WAIT_TICK: Duration = Duration::from_millis(50);
+use super::{LinkWakers, Pacer, SliceMsg, SliceRx, TransportError, TryRecv, TrySendError};
 
 /// Shared state of one logical link (queue on the receive side, credits on
-/// the send side).
+/// the send side) plus the wakers of its two halves.
 pub(super) struct LinkState {
     /// Lock class: `framed.link_state` ([`lock_order::FRAMED_LINK_STATE`]).
     pub(super) inner: Mutex<LinkInner>,
-    pub(super) readable: Condvar,
-    pub(super) writable: Condvar,
+    pub(super) wakers: Arc<LinkWakers>,
 }
 
 pub(super) struct LinkInner {
@@ -62,19 +57,45 @@ impl LinkState {
                     rx_dropped: false,
                 },
             ),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
+            wakers: LinkWakers::new(),
         }
     }
 
     pub(super) fn close_sender(&self) {
         self.inner.lock().sender_closed = true;
-        self.readable.notify_all();
+        self.wakers.wake_rx();
     }
 
     pub(super) fn close_receiver(&self) {
         self.inner.lock().receiver_closed = true;
-        self.writable.notify_all();
+        self.wakers.wake_tx();
+    }
+
+    /// The credit gate of a send: takes one credit for `msg`, or hands the
+    /// message back when the link has none or when `pacer` holds a slice of
+    /// `bytes` (the credit is checked first, so a slice pays the line rate
+    /// only once it can go).
+    pub(super) fn take_credit(
+        &self,
+        msg: SliceMsg,
+        pacer: Option<&Pacer>,
+        bytes: usize,
+    ) -> Result<SliceMsg, TrySendError> {
+        let mut inner = self.inner.lock();
+        if inner.receiver_closed {
+            return Err(TransportError::Disconnected.into());
+        }
+        if inner.credits == 0 {
+            return Err(TrySendError::Full(msg));
+        }
+        if let Some(pacer) = pacer {
+            if let Some(until) = pacer.hold(bytes) {
+                return Err(TrySendError::Paced(msg, until));
+            }
+            pacer.release();
+        }
+        inner.credits -= 1;
+        Ok(msg)
     }
 }
 
@@ -189,7 +210,8 @@ impl LinkTable {
                             repair: frame.repair,
                             data: frame.payload,
                         });
-                        link.readable.notify_one();
+                        drop(inner);
+                        link.wakers.wake_rx();
                     }
                 }
             }
@@ -216,16 +238,18 @@ pub(super) struct FramedRx {
 }
 
 impl SliceRx for FramedRx {
-    fn recv(&self) -> Option<SliceMsg> {
-        let inner = self.link.inner.lock();
-        let mut inner = self
-            .link
-            .readable
-            .wait_while_tick(inner, WAIT_TICK, |s| s.queue.is_empty() && !s.sender_closed);
-        let msg = inner.queue.pop_front()?;
-        inner.credits += 1;
-        self.link.writable.notify_one();
-        Some(msg)
+    fn try_recv(&self) -> TryRecv {
+        let mut inner = self.link.inner.lock();
+        match inner.queue.pop_front() {
+            Some(msg) => {
+                inner.credits += 1;
+                drop(inner);
+                self.link.wakers.wake_tx();
+                TryRecv::Msg(msg)
+            }
+            None if inner.sender_closed => TryRecv::Closed,
+            None => TryRecv::Empty,
+        }
     }
 }
 

@@ -14,8 +14,9 @@
 //!
 //! # Data flow
 //!
-//! *Send path (caller threads).* A sender passes the link's credit gate,
-//! pays the token bucket, then locks the connection's outbound buffer: if
+//! *Send path (caller threads).* A sender's `try_send` takes a link credit
+//! and its token-bucket reservation — handing the slice back when either
+//! is missing — then locks the connection's outbound buffer: if
 //! the buffer is empty it writes the whole frame, header and payload, to
 //! the nonblocking socket in one vectored write
 //! ([`wire::write_frame`](super::wire::write_frame)), so the header never
@@ -58,11 +59,11 @@ use crate::buf::BufPool;
 use crate::exec::PIPELINE_DEPTH;
 use crate::lock_order;
 
-use super::framed::{Carrier, FramedRx, LinkState, LinkTable, WAIT_TICK};
+use super::framed::{Carrier, FramedRx, LinkState, LinkTable};
 use super::wire::{self, encode_header, FrameDecoder, HEADER_LEN, OP_DATA, OP_EOS, OP_HELLO};
 use super::{
-    Shaper, SliceMsg, SliceReceiver, SliceSender, SliceTx, StatsRegistry, TokenBucket, Transport,
-    TransportError,
+    Pacer, Shaper, SliceMsg, SliceReceiver, SliceSender, SliceTx, StatsRegistry, Transport,
+    TransportError, TrySendError, WAIT_TICK,
 };
 
 /// Poll threads per transport unless overridden — deliberately small: the
@@ -400,30 +401,17 @@ struct ReactorTx {
     link_id: u64,
     link: Arc<LinkState>,
     table: Arc<LinkTable>,
-    bucket: Option<Arc<TokenBucket>>,
+    pacer: Option<Pacer>,
 }
 
 impl SliceTx for ReactorTx {
-    fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
+    fn try_send(&self, msg: SliceMsg) -> Result<(), TrySendError> {
         let conn = self
             .conn
             .as_ref()
             .map_err(|reason| TransportError::Io(std::io::Error::other(reason.clone())))?;
-        // Credit gate: block until the receiver has drained below capacity.
-        {
-            let inner = self.link.inner.lock();
-            let mut inner = self
-                .link
-                .writable
-                .wait_while_tick(inner, WAIT_TICK, |s| !s.receiver_closed && s.credits == 0);
-            if inner.receiver_closed {
-                return Err(TransportError::Disconnected);
-            }
-            inner.credits -= 1;
-        }
-        if let Some(bucket) = &self.bucket {
-            bucket.take(HEADER_LEN + msg.data.len());
-        }
+        let bytes = HEADER_LEN + msg.data.len();
+        let msg = self.link.take_credit(msg, self.pacer.as_ref(), bytes)?;
         let header = encode_header(
             OP_DATA,
             self.link_id,
@@ -433,7 +421,7 @@ impl SliceTx for ReactorTx {
             msg.data.len() as u32,
         );
         conn.write_frame(&header, &msg.data)
-            .map_err(TransportError::Io)
+            .map_err(|e| TransportError::Io(e).into())
     }
 }
 
@@ -663,26 +651,23 @@ impl Transport for ReactorTransport {
         }
         let carrier = conn.as_ref().ok().map(|conn| conn.local);
         self.table.register(carrier, link_id, link.clone());
-        let bucket = self.shaper.bucket(src, dst);
+        let wakers = link.wakers.clone();
+        let tx = ReactorTx {
+            conn,
+            link_id,
+            link: link.clone(),
+            table: self.table.clone(),
+            pacer: self.shaper.pacer(src, dst),
+        };
+        let rx = FramedRx {
+            carrier,
+            link_id,
+            link,
+            table: self.table.clone(),
+        };
         (
-            SliceSender {
-                inner: Box::new(ReactorTx {
-                    conn,
-                    link_id,
-                    link: link.clone(),
-                    table: self.table.clone(),
-                    bucket,
-                }),
-                stats,
-            },
-            SliceReceiver {
-                inner: Box::new(FramedRx {
-                    carrier,
-                    link_id,
-                    link,
-                    table: self.table.clone(),
-                }),
-            },
+            SliceSender::new(Box::new(tx), stats, wakers.clone()),
+            SliceReceiver::new(Box::new(rx), wakers),
         )
     }
 

@@ -36,11 +36,11 @@ use simnet::{NodeId, Topology};
 
 use crate::lock_order;
 
-use super::framed::{Carrier, FramedRx, LinkState, LinkTable, WAIT_TICK};
+use super::framed::{Carrier, FramedRx, LinkState, LinkTable};
 use super::wire::{self, encode_header, read_frame, OP_DATA, OP_EOS, OP_HELLO};
 use super::{
-    Shaper, SliceMsg, SliceReceiver, SliceSender, SliceTx, StatsRegistry, TokenBucket, Transport,
-    TransportError,
+    Pacer, Shaper, SliceMsg, SliceReceiver, SliceSender, SliceTx, StatsRegistry, Transport,
+    TransportError, TrySendError,
 };
 
 /// One reusable TCP connection for a directed node pair. All links between
@@ -109,30 +109,21 @@ struct TcpTx {
     link_id: u64,
     link: Arc<LinkState>,
     shared: Arc<Shared>,
-    bucket: Option<Arc<TokenBucket>>,
+    pacer: Option<Pacer>,
 }
 
 impl SliceTx for TcpTx {
-    fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
+    fn try_send(&self, msg: SliceMsg) -> Result<(), TrySendError> {
         let conn = self
             .conn
             .as_ref()
             .map_err(|reason| TransportError::Io(std::io::Error::other(reason.clone())))?;
-        // Credit gate: block until the receiver has drained below capacity.
-        {
-            let inner = self.link.inner.lock();
-            let mut inner = self
-                .link
-                .writable
-                .wait_while_tick(inner, WAIT_TICK, |s| !s.receiver_closed && s.credits == 0);
-            if inner.receiver_closed {
-                return Err(TransportError::Disconnected);
-            }
-            inner.credits -= 1;
-        }
-        if let Some(bucket) = &self.bucket {
-            bucket.take(wire::HEADER_LEN + msg.data.len());
-        }
+        let bytes = wire::HEADER_LEN + msg.data.len();
+        let msg = self.link.take_credit(msg, self.pacer.as_ref(), bytes)?;
+        // The credit bounds what a link puts on the socket, and the reader
+        // thread on the far side drains the socket into the link queue
+        // whatever the receiver does, so this write never waits on a
+        // pipeline stage.
         conn.write_frame(
             OP_DATA,
             self.link_id,
@@ -141,7 +132,7 @@ impl SliceTx for TcpTx {
             msg.repair,
             &msg.data,
         )
-        .map_err(TransportError::Io)
+        .map_err(|e| TransportError::Io(e).into())
     }
 }
 
@@ -290,26 +281,23 @@ impl Transport for TcpTransport {
         }
         let carrier = conn.as_ref().ok().map(|conn| conn.local);
         self.shared.table.register(carrier, link_id, link.clone());
-        let bucket = self.shaper.bucket(src, dst);
+        let wakers = link.wakers.clone();
+        let tx = TcpTx {
+            conn,
+            link_id,
+            link: link.clone(),
+            shared: self.shared.clone(),
+            pacer: self.shaper.pacer(src, dst),
+        };
+        let rx = FramedRx {
+            carrier,
+            link_id,
+            link,
+            table: self.shared.table.clone(),
+        };
         (
-            SliceSender {
-                inner: Box::new(TcpTx {
-                    conn,
-                    link_id,
-                    link: link.clone(),
-                    shared: self.shared.clone(),
-                    bucket,
-                }),
-                stats,
-            },
-            SliceReceiver {
-                inner: Box::new(FramedRx {
-                    carrier,
-                    link_id,
-                    link,
-                    table: self.shared.table.clone(),
-                }),
-            },
+            SliceSender::new(Box::new(tx), stats, wakers.clone()),
+            SliceReceiver::new(Box::new(rx), wakers),
         )
     }
 

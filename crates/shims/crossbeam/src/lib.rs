@@ -46,6 +46,36 @@ pub mod channel {
 
     impl<T> std::error::Error for SendError<T> {}
 
+    /// Error returned by [`Sender::try_send`]; either way the message is
+    /// handed back.
+    #[derive(PartialEq, Eq, Clone, Copy)]
+    pub enum TrySendError<T> {
+        /// The channel's buffer is full.
+        Full(T),
+        /// Every receiver is gone.
+        Disconnected(T),
+    }
+
+    impl<T> fmt::Debug for TrySendError<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                TrySendError::Full(_) => write!(f, "Full(..)"),
+                TrySendError::Disconnected(_) => write!(f, "Disconnected(..)"),
+            }
+        }
+    }
+
+    impl<T> fmt::Display for TrySendError<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                TrySendError::Full(_) => write!(f, "sending on a full channel"),
+                TrySendError::Disconnected(_) => write!(f, "sending on a disconnected channel"),
+            }
+        }
+    }
+
+    impl<T> std::error::Error for TrySendError<T> {}
+
     /// Error returned by [`Receiver::recv`] when the channel is empty and all
     /// senders are gone.
     #[derive(Debug, PartialEq, Eq, Clone, Copy)]
@@ -107,6 +137,13 @@ pub mod channel {
         )
     }
 
+    impl<T> Shared<T> {
+        fn is_full(&self) -> bool {
+            self.capacity
+                .is_some_and(|cap| self.queue.len() >= cap.max(1))
+        }
+    }
+
     impl<T> Sender<T> {
         /// Sends `value`, blocking while the buffer is full. Fails once every
         /// receiver has been dropped.
@@ -116,16 +153,27 @@ pub mod channel {
                 if shared.receivers == 0 {
                     return Err(SendError(value));
                 }
-                let full = shared
-                    .capacity
-                    .is_some_and(|cap| shared.queue.len() >= cap.max(1));
-                if !full {
+                if !shared.is_full() {
                     shared.queue.push_back(value);
                     self.inner.not_empty.notify_one();
                     return Ok(());
                 }
                 shared = self.inner.not_full.wait(shared).unwrap();
             }
+        }
+
+        /// Sends `value` if the buffer has room, handing it back otherwise.
+        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+            let mut shared = self.inner.shared.lock().unwrap();
+            if shared.receivers == 0 {
+                return Err(TrySendError::Disconnected(value));
+            }
+            if shared.is_full() {
+                return Err(TrySendError::Full(value));
+            }
+            shared.queue.push_back(value);
+            self.inner.not_empty.notify_one();
+            Ok(())
         }
     }
 
@@ -255,6 +303,17 @@ mod tests {
         }
         sender.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn try_send_hands_back_when_full_or_disconnected() {
+        let (tx, rx) = bounded(1);
+        assert_eq!(tx.try_send(1), Ok(()));
+        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(tx.try_send(3), Ok(()));
+        drop(rx);
+        assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
     }
 
     #[test]

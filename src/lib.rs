@@ -9,7 +9,7 @@
 //! * [`repair`] — repair planning algorithms (conventional, PPR, repair
 //!   pipelining and its extensions).
 //! * [`ecpipe`] — the ECPipe middleware runtime (coordinator / helpers /
-//!   requestors over real threads and channels).
+//!   requestors over channels or localhost sockets).
 //! * [`dfs`] — models of HDFS-RAID, HDFS-3 and QFS used by the evaluation.
 
 #![forbid(unsafe_code)]

@@ -7,9 +7,12 @@
 //! [`ReactorTransport`] (the same sockets multiplexed over a fixed epoll
 //! thread pool): slice ordering, backpressure
 //! at [`PIPELINE_DEPTH`], dropped-peer error propagation, the paper's
-//! one-block-per-link traffic claim, and byte-exact repairs under all four
-//! execution strategies. A TCP-only case measures the §3.2 timing claim
-//! (repair time ≈ `1 + (k-1)/s` timeslots) on throttled sockets.
+//! one-block-per-link traffic claim, the non-blocking link operations the
+//! repair driver steps (`try_send`/`try_recv` and the wakers they fire),
+//! and byte-exact repairs under all four execution strategies. A TCP-only
+//! case measures the §3.2 timing claim (repair time ≈ `1 + (k-1)/s`
+//! timeslots) on throttled sockets, and a case on every backend checks that
+//! a paced link's busy time is its bytes over its rate.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -23,7 +26,8 @@ use repair_pipelining::ecpipe::exec::{
     execute_multi, execute_single, ExecStrategy, PIPELINE_DEPTH,
 };
 use repair_pipelining::ecpipe::transport::{
-    ChannelTransport, ReactorTransport, SliceMsg, TcpTransport, Transport,
+    ChannelTransport, ReactorTransport, SliceMsg, SliceReceiver, TcpTransport, Transport, TryRecv,
+    TrySendError, Waker,
 };
 use repair_pipelining::ecpipe::{Cluster, Coordinator, SelectionPolicy, StoreBackend};
 
@@ -122,6 +126,116 @@ fn case_dropped_sender_ends_stream<T: Transport>(transport: &T) {
     assert!(rx.recv().is_none(), "drained stream must end cleanly");
 }
 
+fn slice(index: usize) -> SliceMsg {
+    SliceMsg::new(index, vec![index as u8; 256].into())
+}
+
+/// Whether `waker` fires (or already fired) within a generous bound.
+fn fires(waker: &Waker) -> bool {
+    let start = Instant::now();
+    waker.wait_until(start + Duration::from_secs(5));
+    start.elapsed() < Duration::from_secs(5)
+}
+
+/// Discards a wake that is already pending, so the next [`fires`] checks a
+/// fresh event.
+fn clear(waker: &Waker) {
+    waker.wait_until(Instant::now());
+}
+
+/// Polls `rx` until it reports something other than `Empty`, sleeping on
+/// `waker` in between (socket backends deliver asynchronously).
+fn poll(rx: &SliceReceiver, waker: &Waker) -> TryRecv {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match rx.try_recv() {
+            TryRecv::Empty if Instant::now() < deadline => {
+                waker.wait_until(Instant::now() + Duration::from_millis(50))
+            }
+            other => return other,
+        }
+    }
+}
+
+fn case_try_send_hands_back_without_credit<T: Transport>(transport: &T) {
+    let (tx, rx) = transport.link(0, 1, 2);
+    tx.try_send(slice(0)).unwrap();
+    tx.try_send(slice(1)).unwrap();
+    let back = match tx.try_send(slice(2)) {
+        Err(TrySendError::Full(msg)) => msg,
+        other => panic!("a link with no credit must hand the slice back: {other:?}"),
+    };
+    assert_eq!(back.index, 2, "the handed-back slice is the one offered");
+    assert_eq!(rx.recv().unwrap().index, 0);
+    tx.try_send(back).expect("one pop returns one credit");
+    assert_eq!(rx.recv().unwrap().index, 1);
+    assert_eq!(rx.recv().unwrap().index, 2);
+    assert_eq!(
+        transport.link_bytes(0, 1),
+        3 * 256,
+        "hand-backs are not traffic"
+    );
+}
+
+fn case_try_recv_reports_empty_msg_then_closed<T: Transport>(transport: &T) {
+    let (tx, rx) = transport.link(0, 1, 4);
+    let waker = Waker::new();
+    rx.set_waker(&waker);
+    assert!(matches!(rx.try_recv(), TryRecv::Empty));
+    tx.send(slice(7)).unwrap();
+    match poll(&rx, &waker) {
+        TryRecv::Msg(msg) => assert_eq!(msg.index, 7),
+        other => panic!("expected the sent slice, got {other:?}"),
+    }
+    assert!(
+        matches!(rx.try_recv(), TryRecv::Empty),
+        "nothing else was sent"
+    );
+    drop(tx);
+    assert!(
+        matches!(poll(&rx, &waker), TryRecv::Closed),
+        "the stream ends after the sender's EOS"
+    );
+}
+
+fn case_waker_fires_on_link_events<T: Transport>(transport: &T) {
+    let (tx, rx) = transport.link(0, 1, 1);
+    let (tx_waker, rx_waker) = (Waker::new(), Waker::new());
+    tx.set_waker(&tx_waker);
+    rx.set_waker(&rx_waker);
+
+    clear(&rx_waker);
+    tx.try_send(slice(0)).unwrap();
+    assert!(
+        fires(&rx_waker),
+        "a slice reaching the link wakes the receiver"
+    );
+
+    assert!(matches!(tx.try_send(slice(1)), Err(TrySendError::Full(_))));
+    clear(&tx_waker);
+    assert!(matches!(poll(&rx, &rx_waker), TryRecv::Msg(_)));
+    assert!(fires(&tx_waker), "a returned credit wakes the sender");
+
+    clear(&rx_waker);
+    drop(tx);
+    assert!(
+        fires(&rx_waker),
+        "the sender's end of stream wakes the receiver"
+    );
+    assert!(matches!(poll(&rx, &rx_waker), TryRecv::Closed));
+
+    let (tx, rx) = transport.link(2, 3, 1);
+    let waker = Waker::new();
+    tx.set_waker(&waker);
+    clear(&waker);
+    drop(rx);
+    assert!(fires(&waker), "a dropped receiver wakes the sender");
+    assert!(matches!(
+        tx.try_send(slice(0)),
+        Err(TrySendError::Failed(_))
+    ));
+}
+
 fn case_one_block_per_link_accounting<T: Transport>(transport: &T) {
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
     let (cluster, mut coordinator, data, stripe) = setup(code);
@@ -206,6 +320,21 @@ macro_rules! conformance_suite {
             }
 
             #[test]
+            fn try_send_hands_back_without_credit() {
+                case_try_send_hands_back_without_credit(&$make);
+            }
+
+            #[test]
+            fn try_recv_reports_empty_msg_then_closed() {
+                case_try_recv_reports_empty_msg_then_closed(&$make);
+            }
+
+            #[test]
+            fn waker_fires_on_link_events() {
+                case_waker_fires_on_link_events(&$make);
+            }
+
+            #[test]
             fn one_block_per_link_accounting() {
                 case_one_block_per_link_accounting(&$make);
             }
@@ -226,6 +355,20 @@ macro_rules! conformance_suite {
 conformance_suite!(channel, ChannelTransport::new());
 conformance_suite!(tcp, TcpTransport::new());
 conformance_suite!(reactor, ReactorTransport::new());
+
+/// The repair driver holds paced slices instead of sleeping in `send`:
+/// every strategy, multi-block repair included, stays byte-exact on
+/// throttled links of every backend.
+#[test]
+fn shaped_links_stay_byte_exact() {
+    const RATE: u64 = 32 << 20;
+    case_all_strategies_byte_exact(&ChannelTransport::with_rate_limit(RATE));
+    case_all_strategies_byte_exact(&TcpTransport::with_rate_limit(RATE));
+    case_all_strategies_byte_exact(&ReactorTransport::with_rate_limit(RATE));
+    case_multi_repair_byte_exact(&ChannelTransport::with_rate_limit(RATE));
+    case_multi_repair_byte_exact(&TcpTransport::with_rate_limit(RATE));
+    case_multi_repair_byte_exact(&ReactorTransport::with_rate_limit(RATE));
+}
 
 /// §3.2 on real sockets: with every link throttled to the same rate, a
 /// repair-pipelined block takes about `1 + (k-1)/s` timeslots (one timeslot
@@ -288,4 +431,41 @@ fn throttled_tcp_matches_paper_timing_shape() {
         pipe_b_elapsed > 1.8 * rp_elapsed,
         "pipe-b {pipe_b_elapsed:.3}s should be far slower than rp {rp_elapsed:.3}s"
     );
+}
+
+/// A paced link's busy time is the time its slices wait from offer to
+/// acceptance, so back-to-back slices on a flat-rate link each charge
+/// about their bytes over the rate, on every backend.
+#[test]
+fn flat_rate_busy_time_is_bytes_over_rate() {
+    const RATE: u64 = 1_000_000; // 1 MB/s
+    const SLICES: usize = 6;
+    const LEN: usize = 16 * 1024; // ~16 ms per slice
+    let transports: [(&str, Box<dyn Transport>); 3] = [
+        ("channel", Box::new(ChannelTransport::with_rate_limit(RATE))),
+        ("tcp", Box::new(TcpTransport::with_rate_limit(RATE))),
+        ("reactor", Box::new(ReactorTransport::with_rate_limit(RATE))),
+    ];
+    for (name, transport) in &transports {
+        let (tx, rx) = transport.link(0, 1, 64);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..SLICES {
+                    rx.recv().expect("stream ended early");
+                }
+            });
+            for j in 0..SLICES {
+                tx.send(SliceMsg::new(j, vec![0u8; LEN].into())).unwrap();
+            }
+        });
+        let busy = transport.stats().snapshot()[&(0, 1)].busy_nanos as f64 / 1e9;
+        let per_slice = busy / SLICES as f64;
+        let expected = LEN as f64 / RATE as f64;
+        assert!(
+            (per_slice / expected - 1.0).abs() < 0.10,
+            "{name}: {:.2} ms busy per slice, expected {:.2} ms",
+            per_slice * 1e3,
+            expected * 1e3
+        );
+    }
 }
