@@ -14,7 +14,10 @@
 //!   (default [`DEFAULT_CHUNK_SIZE`] bytes, mirroring HDFS's
 //!   `io.bytes.per.checksum`), so a slice-granular [`get_range`] read can be
 //!   verified by checking only the chunks it overlaps, never the whole
-//!   block;
+//!   block. Computing and verifying them makes one
+//!   [`gf256::crc32_chunks`] call per range (per 256 chunks), not one
+//!   CRC call per chunk, so the kernel can prefetch ahead across chunk
+//!   boundaries;
 //! * [`ChecksummedStore`] — wraps any [`BlockStore`], records checksums on
 //!   [`put`], verifies on [`get`]/[`get_range`], and surfaces mismatches as
 //!   [`EcPipeError::CorruptBlock`]. Checksums live in memory; with
@@ -46,7 +49,7 @@ use crate::lock_order;
 
 use ecc::stripe::BlockId;
 
-use crate::store::BlockStore;
+use crate::store::{check_range, BlockStore};
 use crate::{EcPipeError, Result};
 
 pub use gf256::crc32;
@@ -55,6 +58,10 @@ pub use gf256::crc32;
 /// matching HDFS's `io.bytes.per.checksum` default (~0.8% metadata
 /// overhead).
 pub const DEFAULT_CHUNK_SIZE: usize = 512;
+
+/// Chunks [`BlockChecksums::verify_chunks`] hashes per kernel call; their
+/// sums live on the stack (1 KiB).
+const VERIFY_BATCH: usize = 256;
 
 /// Magic + version prefix of a `.crc` sidecar file.
 const SIDECAR_MAGIC: &[u8; 4] = b"ECC\x01";
@@ -72,10 +79,12 @@ impl BlockChecksums {
     /// Computes the checksums of `data` with the given chunk size.
     pub fn compute(data: &[u8], chunk_size: usize) -> Self {
         let chunk_size = chunk_size.max(1);
+        let mut sums = vec![0; data.len().div_ceil(chunk_size)];
+        gf256::crc32_chunks(data, chunk_size, &mut sums);
         BlockChecksums {
             chunk_size,
             len: data.len(),
-            sums: data.chunks(chunk_size).map(crc32).collect(),
+            sums,
         }
     }
 
@@ -106,16 +115,37 @@ impl BlockChecksums {
 
     /// Verifies a chunk-aligned slice starting at chunk `first_chunk`
     /// against the recorded checksums. Returns the index of the first
-    /// failing chunk.
+    /// failing chunk; a chunk past the recorded ones fails too.
+    ///
+    /// The chunks' CRCs come from one [`gf256::crc32_chunks`] call per 256
+    /// chunks — one call for any slice read of up to 128 KiB at the default
+    /// chunk size — so the kernel's prefetch runs ahead across chunk
+    /// boundaries.
     pub fn verify_chunks(&self, data: &[u8], first_chunk: usize) -> std::result::Result<(), usize> {
-        for (i, chunk) in data.chunks(self.chunk_size).enumerate() {
-            let index = first_chunk + i;
-            match self.sums.get(index) {
-                Some(&sum) if sum == crc32(chunk) => {}
-                _ => return Err(index),
+        let size = self.chunk_size;
+        let recorded = self.sums.get(first_chunk..).unwrap_or_default();
+        let count = data.len().div_ceil(size);
+        // Only chunks with a recorded sum are worth hashing; the first one
+        // without is the failure if every chunk before it matches.
+        let checkable = count.min(recorded.len());
+        let data = &data[..(checkable * size).min(data.len())];
+        let mut computed = [0u32; VERIFY_BATCH];
+        for (b, (part, expected)) in data
+            .chunks(VERIFY_BATCH * size)
+            .zip(recorded.chunks(VERIFY_BATCH))
+            .enumerate()
+        {
+            let sums = &mut computed[..part.len().div_ceil(size)];
+            gf256::crc32_chunks(part, size, sums);
+            if let Some(i) = sums.iter().zip(expected).position(|(a, b)| a != b) {
+                return Err(first_chunk + b * VERIFY_BATCH + i);
             }
         }
-        Ok(())
+        if checkable < count {
+            Err(first_chunk + checkable)
+        } else {
+            Ok(())
+        }
     }
 
     /// The chunk-aligned byte range covering `range`, clamped to the block
@@ -335,14 +365,7 @@ impl<S: BlockStore> BlockStore for ChecksummedStore<S> {
             // only happens for legacy blocks that were never whole-read.)
             return self.inner.get_range(block, range);
         };
-        if range.end > sums.block_len() {
-            return Err(EcPipeError::InvalidRequest {
-                reason: format!(
-                    "range {range:?} out of bounds for block {block} of {} bytes",
-                    sums.block_len()
-                ),
-            });
-        }
+        check_range(block, &range, sums.block_len())?;
         // Read and verify only the chunk-aligned span covering the range —
         // slice reads stay O(slice), not O(block).
         let (span, first_chunk) = sums.chunk_span(&range);
@@ -424,6 +447,45 @@ mod tests {
         rotten[1500] ^= 0x01;
         assert_eq!(sums.verify(&rotten), Err(2));
         assert_eq!(sums.verify(&data[..1999]), Err(0), "truncation is corrupt");
+    }
+
+    #[test]
+    fn a_flip_at_either_end_of_a_chunk_reports_exactly_that_chunk() {
+        // 16-byte chunks put several 256-chunk verify batches in one block;
+        // the short last chunk and the batch edges are among the `k`s.
+        let chunk = 16;
+        let data: Vec<u8> = (0..10_004u32).map(|i| (i * 7 % 253) as u8).collect();
+        let sums = BlockChecksums::compute(&data, chunk);
+        let last = sums.chunk_count() - 1;
+        for k in [0, 1, 254, 255, 256, 257, 511, 512, 600, last] {
+            let start = k * chunk;
+            let end = (start + chunk).min(data.len()) - 1;
+            for at in [start, end] {
+                let mut rotten = data.clone();
+                rotten[at] ^= 0x80;
+                assert_eq!(sums.verify(&rotten), Err(k), "byte {at} of chunk {k}");
+                // A chunk-aligned slice starting before `k` localizes it too.
+                let first = k.saturating_sub(3);
+                assert_eq!(
+                    sums.verify_chunks(&rotten[first * chunk..], first),
+                    Err(k),
+                    "slice from chunk {first}, byte {at}"
+                );
+            }
+        }
+        // Bytes past the recorded length fail: a grown short last chunk at
+        // that chunk, whole chunks beyond it at the first without a sum.
+        let mut longer = data.clone();
+        longer.resize(data.len() + 40, 0);
+        assert_eq!(sums.verify_chunks(&longer[last * chunk..], last), Err(last));
+        let mut whole = data[..last * chunk].to_vec();
+        whole.extend_from_slice(&[0; 32]);
+        assert_eq!(
+            BlockChecksums::compute(&data[..last * chunk], chunk).verify_chunks(&whole, 0),
+            Err(last)
+        );
+        assert_eq!(sums.verify_chunks(&data[..chunk], last + 1), Err(last + 1));
+        assert_eq!(sums.verify_chunks(&[], last + 1), Ok(()));
     }
 
     #[test]

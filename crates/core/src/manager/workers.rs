@@ -672,12 +672,13 @@ where
         };
         match outcome {
             Ok(block) => {
+                let bytes = block.len();
                 if let Err(error) = cluster.store(requestor).put(
                     BlockId {
                         stripe: request.stripe,
                         index: request.failed,
                     },
-                    Bytes::from(block.clone()),
+                    Bytes::from(block),
                 ) {
                     return Err(RepairFailure { error, replans });
                 }
@@ -727,7 +728,7 @@ where
                     }
                 }
                 return Ok(Done {
-                    bytes: block.len(),
+                    bytes,
                     replans,
                     requestor,
                     path: directive.helper_nodes(),

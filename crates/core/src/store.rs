@@ -204,14 +204,7 @@ pub trait BlockStore: Send + Sync {
     /// Reads a byte range of a block (used for slice-granular disk reads).
     fn get_range(&self, block: BlockId, range: std::ops::Range<usize>) -> Result<Bytes> {
         let whole = self.get(block)?;
-        if range.end > whole.len() {
-            return Err(EcPipeError::InvalidRequest {
-                reason: format!(
-                    "range {range:?} out of bounds for block {block} of {} bytes",
-                    whole.len()
-                ),
-            });
-        }
+        check_range(block, &range, whole.len())?;
         Ok(whole.slice(range))
     }
 
@@ -385,11 +378,7 @@ impl BlockStore for FileStore {
             Err(e) => return Err(e.into()),
         };
         let len = file.metadata()?.len();
-        if range.end as u64 > len {
-            return Err(EcPipeError::InvalidRequest {
-                reason: format!("range {range:?} out of bounds for block {block} of {len} bytes"),
-            });
-        }
+        check_range(block, &range, usize::try_from(len).unwrap_or(usize::MAX))?;
         file.seek(SeekFrom::Start(range.start as u64))?;
         let mut data = vec![0u8; range.len()];
         file.read_exact(&mut data)?;
@@ -429,6 +418,21 @@ impl BlockStore for FileStore {
         ids.sort_unstable();
         ids
     }
+}
+
+/// Rejects a range that is reversed or ends past a block of `len` bytes as
+/// [`EcPipeError::InvalidRequest`] — the caller's error, on every backend.
+pub(crate) fn check_range(
+    block: BlockId,
+    range: &std::ops::Range<usize>,
+    len: usize,
+) -> Result<()> {
+    if range.start > range.end || range.end > len {
+        return Err(EcPipeError::InvalidRequest {
+            reason: format!("range {range:?} out of bounds for block {block} of {len} bytes"),
+        });
+    }
+    Ok(())
 }
 
 fn parse_block_name(name: &str) -> Option<BlockId> {
@@ -543,6 +547,37 @@ mod tests {
         // A plain store keeps no checksums, so the rot passes verify().
         assert!(store.verify(block(4, 0)).is_ok());
         assert!(store.corrupt(block(4, 0), 100).is_err());
+    }
+
+    #[test]
+    #[allow(clippy::reversed_empty_ranges)]
+    fn reversed_ranges_are_bad_requests_on_every_backend() {
+        let dir = std::env::temp_dir().join(format!("ecpipe-reversed-{}", std::process::id()));
+        let backends = [
+            StoreBackend::memory(1),
+            StoreBackend::memory_checksummed(1),
+            StoreBackend::file(dir.join("plain"), 1),
+            StoreBackend::file_checksummed(dir.join("checksummed"), 1),
+        ];
+        for backend in backends {
+            let name = format!("{backend:?}");
+            let store = backend.build().unwrap().remove(0);
+            store
+                .put(block(3, 1), Bytes::from(vec![5u8; 1024]))
+                .unwrap();
+            for range in [600..100, 1024..0, 513..512] {
+                assert!(
+                    matches!(
+                        store.get_range(block(3, 1), range.clone()),
+                        Err(EcPipeError::InvalidRequest { .. })
+                    ),
+                    "{name}: {range:?}"
+                );
+            }
+            // An empty range in bounds is still a valid (empty) read.
+            assert!(store.get_range(block(3, 1), 512..512).unwrap().is_empty());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -23,6 +23,16 @@
 //! `ECPIPE_GF_FORCE` therefore governs the checksum as well:
 //! `ECPIPE_GF_FORCE=scalar` pins slicing-by-16.
 //!
+//! Block stores keep one CRC per 512-byte chunk, so a verified 32 KiB
+//! slice is 64 short CRCs. [`crc32_chunks`] computes all of a range's
+//! chunk CRCs in one call: one kernel dispatch per range rather than per
+//! chunk. On x86-64 that call also issues software prefetches about 2 KiB
+//! ahead of the fold: on a slice that is not in cache, one [`crc32`] call
+//! per chunk runs well below the speed of a plain sequential read of the
+//! slice, and the prefetching batch runs at about that speed. The portable
+//! paths run the same per-chunk loop over slicing-by-16 without prefetch.
+//! Every chunk still gets its own CRC, bit-identical to [`crc32`] of it.
+//!
 //! # Examples
 //!
 //! ```
@@ -84,6 +94,32 @@ pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     Kernels::active().crc32_update(crc, data)
 }
 
+/// The CRC-32 of every `chunk_size`-byte chunk of `data` (the last chunk may
+/// be shorter), written to `out` in order: `out[i]` equals
+/// `crc32(&data[i * chunk_size..][..chunk_size])`. One call covers the whole
+/// range, so per-chunk checksums pay one kernel dispatch rather than one
+/// per chunk, and on x86-64 the loads of later chunks are prefetched while
+/// earlier ones fold.
+///
+/// ```
+/// let data = b"0123456789abcdef0123";
+/// let mut sums = [0u32; 3];
+/// gf256::crc32_chunks(data, 8, &mut sums);
+/// assert_eq!(sums, [
+///     gf256::crc32(b"01234567"),
+///     gf256::crc32(b"89abcdef"),
+///     gf256::crc32(b"0123"),
+/// ]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `chunk_size` is 0 or `out.len()` is not
+/// `data.len().div_ceil(chunk_size)`.
+pub fn crc32_chunks(data: &[u8], chunk_size: usize, out: &mut [u32]) {
+    Kernels::active().crc32_chunks(data, chunk_size, out);
+}
+
 /// Slicing-by-16 over the raw register (the caller applies the pre- and
 /// post-inversion).
 pub(crate) fn slicing16(mut crc: u32, data: &[u8]) -> u32 {
@@ -113,4 +149,12 @@ pub(crate) fn slicing16(mut crc: u32, data: &[u8]) -> u32 {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
+}
+
+/// Per-chunk CRC-32 through slicing-by-16: the batched entry point of the
+/// portable paths (finished values, inversions applied).
+pub(crate) fn slicing16_chunks(data: &[u8], chunk_size: usize, out: &mut [u32]) {
+    for (chunk, sum) in data.chunks(chunk_size).zip(out) {
+        *sum = !slicing16(!0, chunk);
+    }
 }

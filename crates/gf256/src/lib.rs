@@ -13,7 +13,8 @@
 //!   used to derive encoding matrices and single-block repair coefficients.
 //! * [`crc32`] / [`crc32_update`] — the CRC-32 (IEEE) the block stores'
 //!   checksums and the metadata WAL share, dispatched alongside the slice
-//!   kernels.
+//!   kernels — and [`crc32_chunks`], which checksums every fixed-size chunk
+//!   of a range in one call.
 //!
 //! The slice kernels are runtime-dispatched: on hosts with SSSE3/AVX2
 //! (x86/x86_64) or NEON (aarch64) they run vectorized split-table loops,
@@ -43,7 +44,7 @@ mod matrix;
 pub mod simd;
 mod tables;
 
-pub use crc::{crc32, crc32_update};
+pub use crc::{crc32, crc32_chunks, crc32_update};
 pub use field::Gf256;
 pub use kernels::{add_slice, mul_add_slice, mul_slice, scale_slice_in_place};
 pub use matrix::Matrix;

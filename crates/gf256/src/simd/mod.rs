@@ -130,6 +130,8 @@ pub struct Kernels {
     add: fn(&[u8], &mut [u8]),
     // CRC-32 over the raw register; `crc32_update` applies the inversions.
     crc: fn(u32, &[u8]) -> u32,
+    // Finished CRC-32 of every chunk; `crc32_chunks` checks the arguments.
+    crc_chunks: fn(&[u8], usize, &mut [u32]),
 }
 
 static SCALAR: Kernels = Kernels {
@@ -138,6 +140,7 @@ static SCALAR: Kernels = Kernels {
     mul_add: scalar::mul_add,
     add: scalar::add,
     crc: crate::crc::slicing16,
+    crc_chunks: crate::crc::slicing16_chunks,
 };
 
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
@@ -264,6 +267,23 @@ impl Kernels {
     /// over `data`; see [`crate::crc32_update`].
     pub fn crc32_update(&self, crc: u32, data: &[u8]) -> u32 {
         !(self.crc)(!crc, data)
+    }
+
+    /// The CRC-32 of every `chunk_size`-byte chunk of `data`, in order; see
+    /// [`crate::crc32_chunks`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_size` is 0 or `out.len()` is not
+    /// `data.len().div_ceil(chunk_size)`.
+    pub fn crc32_chunks(&self, data: &[u8], chunk_size: usize, out: &mut [u32]) {
+        assert!(chunk_size > 0, "crc32_chunks: chunk_size must be positive");
+        assert_eq!(
+            out.len(),
+            data.len().div_ceil(chunk_size),
+            "crc32_chunks: out must hold one sum per chunk"
+        );
+        (self.crc_chunks)(data, chunk_size, out);
     }
 
     /// `data[j] = coeff * data[j]` in place.

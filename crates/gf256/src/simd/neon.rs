@@ -22,6 +22,7 @@ pub(super) static NEON: Kernels = Kernels {
     add: add_neon,
     // The ARMv8 CRC32 instructions are not wired in yet; slicing-by-16.
     crc: crate::crc::slicing16,
+    crc_chunks: crate::crc::slicing16_chunks,
 };
 
 fn mul_neon(coeff: u8, src: &[u8], dst: &mut [u8]) {

@@ -19,7 +19,10 @@
 //! PCLMULQDQ Instruction", 2009, with the constants of the reflected IEEE
 //! polynomial), used when the CPU reports `pclmulqdq` and falling back to
 //! slicing-by-16 otherwise, below 64 bytes and for the last partial 16
-//! bytes.
+//! bytes. The batched per-chunk entry point runs that fold chunk after
+//! chunk inside one call and keeps software prefetches
+//! [`PREFETCH_AHEAD`] bytes ahead of it, which brings per-chunk CRCs of
+//! data that is not in cache to about the speed of a sequential read.
 //!
 //! This module is the designated home for `unsafe` in this crate (with
 //! `simd/neon.rs`); the workspace lint enforces that and the `// SAFETY:`
@@ -33,7 +36,7 @@ use core::arch::x86::*;
 use core::arch::x86_64::*;
 
 use super::{scalar, KernelPath, Kernels};
-use crate::crc::slicing16;
+use crate::crc::{slicing16, slicing16_chunks};
 use crate::tables::{MUL_HI, MUL_LO};
 
 pub(super) static SSSE3: Kernels = Kernels {
@@ -42,6 +45,7 @@ pub(super) static SSSE3: Kernels = Kernels {
     mul_add: mul_add_ssse3,
     add: add_ssse3,
     crc: crc_pclmul,
+    crc_chunks: crc_chunks_pclmul,
 };
 
 pub(super) static AVX2: Kernels = Kernels {
@@ -50,6 +54,7 @@ pub(super) static AVX2: Kernels = Kernels {
     mul_add: mul_add_avx2,
     add: add_avx2,
     crc: crc_pclmul,
+    crc_chunks: crc_chunks_pclmul,
 };
 
 // ---------------------------------------------------------------- SSSE3 --
@@ -268,15 +273,84 @@ const MU: i64 = 0x1_f701_1641;
 const FOLD_MIN: usize = 64;
 
 fn crc_pclmul(crc: u32, data: &[u8]) -> u32 {
-    if data.len() < FOLD_MIN || !std::arch::is_x86_feature_detected!("pclmulqdq") {
+    if !std::arch::is_x86_feature_detected!("pclmulqdq") {
+        return slicing16(crc, data);
+    }
+    // SAFETY: `pclmulqdq` was detected just above, and SSE2 comes with the
+    // SSSE3 or AVX2 support that made this path reachable (see
+    // `Kernels::for_path`).
+    unsafe { crc_split(crc, data) }
+}
+
+/// Extends the raw register `crc` over `data` of any length: the fold over
+/// its whole 16-byte lanes, slicing-by-16 over the rest (all of it below
+/// [`FOLD_MIN`] bytes).
+///
+/// # Safety
+///
+/// The CPU must support PCLMULQDQ and SSE2.
+// SAFETY: the fold only receives a prefix whose length is a multiple of 16
+// and at least `FOLD_MIN`, which is `crc_fold_body`'s contract.
+#[inline]
+#[target_feature(enable = "pclmulqdq,sse2")]
+unsafe fn crc_split(crc: u32, data: &[u8]) -> u32 {
+    if data.len() < FOLD_MIN {
         return slicing16(crc, data);
     }
     let split = data.len() - data.len() % 16;
+    let crc = crc_fold_body(crc, &data[..split]);
+    // Whole-lane inputs (every full checksum chunk) skip the call: around
+    // it the loop would spill and reload its vector constants.
+    if split == data.len() {
+        crc
+    } else {
+        slicing16(crc, &data[split..])
+    }
+}
+
+/// How far ahead of the fold [`crc_chunks_body`] prefetches: far enough
+/// that a 512-byte chunk's lines are in flight several chunks before it is
+/// folded, near enough that they are not evicted from L1 before use.
+const PREFETCH_AHEAD: usize = 2048;
+
+/// Cache-line stride of the prefetches.
+const LINE: usize = 64;
+
+fn crc_chunks_pclmul(data: &[u8], chunk_size: usize, out: &mut [u32]) {
+    if !std::arch::is_x86_feature_detected!("pclmulqdq") {
+        return slicing16_chunks(data, chunk_size, out);
+    }
     // SAFETY: `pclmulqdq` was detected just above, and SSE2 comes with the
     // SSSE3 or AVX2 support that made this path reachable (see
-    // `Kernels::for_path`); `split` is a multiple of 16 and at least 64.
-    let crc = unsafe { crc_fold_body(crc, &data[..split]) };
-    slicing16(crc, &data[split..])
+    // `Kernels::for_path`).
+    unsafe { crc_chunks_body(data, chunk_size, out) }
+}
+
+/// The finished CRC-32 of every `chunk_size`-byte chunk of `data` into
+/// `out`, with software prefetches running [`PREFETCH_AHEAD`] bytes ahead
+/// of the chunk being folded.
+///
+/// # Safety
+///
+/// The CPU must support PCLMULQDQ and SSE2.
+// SAFETY: every prefetch address is `data.as_ptr() + fetched` with
+// `fetched < data.len()`, so it stays inside the slice (a prefetch never
+// faults, but the pointer arithmetic must not leave the allocation); the
+// CPU features `crc_split` needs are this function's own.
+#[target_feature(enable = "pclmulqdq,sse2")]
+unsafe fn crc_chunks_body(data: &[u8], chunk_size: usize, out: &mut [u32]) {
+    let base = data.as_ptr();
+    let mut fetched = 0;
+    let mut end = 0;
+    for (chunk, sum) in data.chunks(chunk_size).zip(out) {
+        end += chunk.len();
+        let horizon = (end + PREFETCH_AHEAD).min(data.len());
+        while fetched < horizon {
+            _mm_prefetch::<_MM_HINT_T0>(base.add(fetched).cast());
+            fetched += LINE;
+        }
+        *sum = !crc_split(!0, chunk);
+    }
 }
 
 /// Folds `data` into the raw CRC register `crc`.
@@ -288,6 +362,7 @@ fn crc_pclmul(crc: u32, data: &[u8]) -> u32 {
 // SAFETY: every load is an unaligned 16-byte `loadu` at an offset `i` with
 // `i + 16 <= len` (the loops step by whole lanes over a `len % 16 == 0`
 // buffer), so all accesses stay in bounds.
+#[inline]
 #[target_feature(enable = "pclmulqdq,sse2")]
 unsafe fn crc_fold_body(crc: u32, data: &[u8]) -> u32 {
     debug_assert!(data.len() >= FOLD_MIN);

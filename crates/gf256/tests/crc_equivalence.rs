@@ -3,7 +3,9 @@
 //!
 //! The shapes are the ones that break folded CRCs: inputs on either side of
 //! the 64-byte four-lane fold threshold, a partial last 16-byte lane,
-//! misaligned starts, and streaming updates split at arbitrary points.
+//! misaligned starts, and streaming updates split at arbitrary points. The
+//! batched per-chunk entry point must equal one CRC per chunk at every
+//! chunk size, including a short last chunk.
 
 use gf256::{KernelPath, Kernels};
 use proptest::prelude::*;
@@ -117,5 +119,80 @@ proptest! {
         }
         let streamed = gf256::crc32_update(gf256::crc32(&data[..at]), &data[at..]);
         prop_assert_eq!(streamed, gf256::crc32(&data));
+    }
+}
+
+/// Chunk sizes around the fold's 16-byte lane and 64-byte threshold, the
+/// stores' 512-byte chunk and a page.
+const CHUNK_SIZES: [usize; 7] = [1, 15, 16, 63, 64, 512, 4096];
+
+/// `data.chunks(chunk_size).map(crc32)`, one oracle call per chunk.
+fn chunk_oracle(data: &[u8], chunk_size: usize) -> Vec<u32> {
+    data.chunks(chunk_size)
+        .map(|c| oracle().crc32_update(0, c))
+        .collect()
+}
+
+fn batched(kernels: &Kernels, data: &[u8], chunk_size: usize) -> Vec<u32> {
+    let mut out = vec![0; data.len().div_ceil(chunk_size)];
+    kernels.crc32_chunks(data, chunk_size, &mut out);
+    out
+}
+
+#[test]
+fn chunks_match_per_chunk_crcs_at_every_size_and_offset() {
+    // Three whole chunks of the largest size plus a short tail, from every
+    // start offset, so each size sees whole, short-last and empty inputs.
+    let buf = pattern(OFFSETS.end + 3 * 4096 + 100);
+    for k in paths() {
+        for chunk_size in CHUNK_SIZES {
+            assert!(batched(k, &[], chunk_size).is_empty());
+            for offset in OFFSETS {
+                for len in [1, chunk_size, 3 * chunk_size - 1, 3 * 4096 + 100] {
+                    let data = &buf[offset..offset + len];
+                    assert_eq!(
+                        batched(k, data, chunk_size),
+                        chunk_oracle(data, chunk_size),
+                        "path={} chunk={chunk_size} len={len} offset={offset}",
+                        k.path()
+                    );
+                }
+            }
+        }
+    }
+    let data = pattern(1000);
+    let mut out = vec![0; 2];
+    gf256::crc32_chunks(&data, 512, &mut out);
+    assert_eq!(
+        out,
+        [gf256::crc32(&data[..512]), gf256::crc32(&data[512..])]
+    );
+}
+
+#[test]
+#[should_panic(expected = "one sum per chunk")]
+fn chunks_reject_a_mis_sized_output() {
+    gf256::crc32_chunks(&[0; 100], 64, &mut [0; 1]);
+}
+
+proptest! {
+    #[test]
+    fn chunks_match_the_oracle_on_every_path(
+        data in proptest::collection::vec(any::<u8>(), 0..3 * MAX_LEN),
+        size in 0..CHUNK_SIZES.len(),
+        offset in OFFSETS,
+    ) {
+        let chunk_size = CHUNK_SIZES[size];
+        let data = &data[offset.min(data.len())..];
+        let want = chunk_oracle(data, chunk_size);
+        for k in paths() {
+            prop_assert_eq!(
+                batched(k, data, chunk_size),
+                want.clone(),
+                "path={} chunk={}",
+                k.path(),
+                chunk_size
+            );
+        }
     }
 }
